@@ -5,133 +5,23 @@ edges.  The package bundles instance generators, a sunflower
 decomposition, a local-search partitioner, randomised colouring engines
 with resampling repair, exact verification and oracle routines, and
 Monte Carlo probes, all behind one CLI (``defcol``).
+
+Every public name of a submodule is listed once, in that submodule's
+``__all__``, and re-exported here.
 """
 
-from .analysis import (
-    DefectReport,
-    GridWitness,
-    ProbeStats,
-    SizeGuardError,
-    bad_vertex_ceiling,
-    complete_lowerbound,
-    exact_defective_chromatic,
-    find_defective_colouring,
-    grid_defect_witness,
-    probe_bad_vertex,
-    probe_mono_edge,
-    verify,
-)
-from .engine import (
-    MODES,
-    BudgetExhaustedError,
-    Colouring,
-    EngineConfig,
-    EngineResult,
-    RoundTrace,
-    adaptive_colouring,
-    classify,
-    default_budget,
-    graph_maxcut_colouring,
-    greedy_proper,
-    linear_lll_colouring,
-    mono_degree,
-    nibble_colouring,
-    nibble_round,
-    run_engine,
-    uniform_colouring,
-)
-from .generators import (
-    complete,
-    coords_to_index,
-    grid,
-    grid_base_degree,
-    index_to_coords,
-    random_bounded_degree,
-    random_linear,
-)
-from .hypergraph import (
-    Hypergraph,
-    InstanceFormatError,
-    VertexSet,
-    as_vertex_set,
-    format_instance,
-    parse_instance,
-)
-from .partition import (
-    MaxCutRun,
-    Partition,
-    guarantee_bound,
-    max_cut_partition,
-    max_cut_search,
-    pair_objective,
-    within_part_incident_count,
-)
-from .sunflowers import (
-    Sunflower,
-    SunflowerDecomposition,
-    as_sunflower,
-    decompose,
-    find_sunflower,
-    leftover_bound,
-)
+from . import analysis, engine, generators, hypergraph, partition, sunflowers
+from .analysis import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .hypergraph import *  # noqa: F401,F403
+from .partition import *  # noqa: F401,F403
+from .sunflowers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Hypergraph",
-    "InstanceFormatError",
-    "VertexSet",
-    "as_vertex_set",
-    "parse_instance",
-    "format_instance",
-    "complete",
-    "grid",
-    "grid_base_degree",
-    "coords_to_index",
-    "index_to_coords",
-    "random_bounded_degree",
-    "random_linear",
-    "Sunflower",
-    "SunflowerDecomposition",
-    "as_sunflower",
-    "find_sunflower",
-    "decompose",
-    "leftover_bound",
-    "Partition",
-    "MaxCutRun",
-    "pair_objective",
-    "max_cut_search",
-    "max_cut_partition",
-    "within_part_incident_count",
-    "guarantee_bound",
-    "MODES",
-    "BudgetExhaustedError",
-    "Colouring",
-    "EngineConfig",
-    "EngineResult",
-    "RoundTrace",
-    "default_budget",
-    "uniform_colouring",
-    "mono_degree",
-    "classify",
-    "nibble_round",
-    "nibble_colouring",
-    "adaptive_colouring",
-    "linear_lll_colouring",
-    "graph_maxcut_colouring",
-    "greedy_proper",
-    "run_engine",
-    "DefectReport",
-    "ProbeStats",
-    "GridWitness",
-    "SizeGuardError",
-    "verify",
-    "exact_defective_chromatic",
-    "find_defective_colouring",
-    "complete_lowerbound",
-    "grid_defect_witness",
-    "probe_mono_edge",
-    "probe_bad_vertex",
-    "bad_vertex_ceiling",
-    "__version__",
-]
+    name
+    for module in (hypergraph, generators, sunflowers, partition, engine, analysis)
+    for name in module.__all__
+] + ["__version__"]

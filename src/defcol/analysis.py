@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, mono_degree
+from .engine import Colouring, mono_counts, mono_degree
 from .generators import coords_to_index, grid, index_to_coords
 from .hypergraph import Hypergraph
 
@@ -73,18 +73,12 @@ def verify(hg: Hypergraph, colouring: Colouring, d: int) -> DefectReport:
         missing = colouring.uncoloured()
         raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")
 
-    cols = colouring.colours
-    mono = [0] * hg.n
-    for e in hg.edges:
-        c0 = cols[e[0]]
-        if all(cols[w] == c0 for w in e[1:]):
-            for w in e:
-                mono[w] += 1
-    violating = tuple(v for v in range(hg.n) if mono[v] > d)
+    # no fixed dtype: labels past int64 become an object array, still exact
+    mono = mono_counts(hg.edge_array(), np.asarray(colouring.colours), hg.n)
     return DefectReport(
         defect=d,
-        mono_degrees=tuple(mono),
-        violating=violating,
+        mono_degrees=tuple(mono.tolist()),
+        violating=tuple(np.flatnonzero(mono > d).tolist()),
         colours_used=colouring.distinct_used(),
     )
 

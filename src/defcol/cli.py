@@ -21,7 +21,6 @@ import time
 from typing import Any, Sequence
 
 from .analysis import (
-    SizeGuardError,
     bad_vertex_ceiling,
     exact_defective_chromatic,
     probe_bad_vertex,
@@ -120,7 +119,7 @@ def _read_assignment(path: str, n: int) -> Colouring:
         seen[v] = c
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen.keys())
-        raise InstanceFormatError(0, f"{len(missing)} vertices unassigned (first: {missing[:5]})")
+        raise ValueError(f"{path}: {len(missing)} vertices unassigned (first: {missing[:5]})")
     colours = tuple(seen[v] for v in range(n))
     return Colouring(colours, (max(colours) + 1) if colours else 1)
 
@@ -512,16 +511,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "command", None) == "generate" and args.edges is None:
             args.edges = 2 * args.n
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # malformed files and size guards included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

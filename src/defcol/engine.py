@@ -13,9 +13,14 @@ monochromatic edges.  The engine offers five modes:
                     partition (2-uniform only);
 * ``greedy-proper`` a deterministic proper colouring, always valid.
 
-Rounds resample with a Moser-Tardos flavour: pick the lowest-index
-"terrible" vertex and redraw the colours of its closed second
-neighbourhood, the full variable support of the event being violated.
+One round driver runs ``theorem`` and ``adaptive``; they differ only in
+how the degree bound moves (halving, or the residual's actual max degree)
+and in the palette step (the formula with doublings, or a search that
+doubles and then bisects).  One Moser-Tardos loop serves ``nibble_round``
+and ``naive-lll``: it redraws the cached variable support of the
+lowest-index violated vertex until none is left.  One vectorised kernel,
+:func:`mono_counts`, counts monochromatic edges per vertex for the engine,
+:func:`classify` and ``analysis.verify``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +44,7 @@ __all__ = [
     "default_budget",
     "uniform_colouring",
     "mono_degree",
+    "mono_counts",
     "classify",
     "closed_second_neighbourhood",
     "nibble_round",
@@ -109,7 +116,6 @@ class EngineConfig:
     defect: int
     seed: int = 0
     budget: int | None = None
-    terrible_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -125,6 +131,9 @@ class EngineResult:
     mode: str
     colouring: Colouring
     traces: tuple[RoundTrace, ...]
+
+
+_Probe = tuple[Colouring, tuple[int, ...] | None, RoundTrace]
 
 
 # -- elementary operations ----------------------------------------------------
@@ -158,6 +167,26 @@ def mono_degree(hg: Hypergraph, colouring: Colouring, v: int) -> int:
     return count
 
 
+def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
+    """Per-vertex number of monochromatic edges under a total colour vector.
+
+    ``edges`` is an (m, u) vertex array such as :meth:`Hypergraph.edge_array`
+    and ``colours`` holds one label per vertex; only label equality matters.
+    """
+    ec = colours[edges]
+    mono = (ec == ec[:, :1]).all(axis=1)
+    return np.bincount(edges[mono].ravel(), minlength=n)
+
+
+def _classify_arrays(
+    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bad mask, terrible mask) for a total colour vector."""
+    bad = mono_counts(edges, colours, n) >= d + 1
+    bad_count = np.bincount(edges[bad[edges].all(axis=1)].ravel(), minlength=n)
+    return bad, bad_count > threshold
+
+
 def classify(
     hg: Hypergraph,
     colouring: Colouring,
@@ -179,23 +208,9 @@ def classify(
         raise ValueError("classification needs a total colouring")
     if bad_edge_threshold is None:
         bad_edge_threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
-
-    cols = colouring.colours
-    mono = [0] * hg.n
-    for e in hg.edges:
-        c0 = cols[e[0]]
-        if all(cols[w] == c0 for w in e[1:]):
-            for w in e:
-                mono[w] += 1
-    bad = {v for v in range(hg.n) if mono[v] >= d + 1}
-
-    bad_edge_count = [0] * hg.n
-    for e in hg.edges:
-        if all(w in bad for w in e):
-            for w in e:
-                bad_edge_count[w] += 1
-    terrible = {v for v in range(hg.n) if bad_edge_count[v] > bad_edge_threshold}
-    return bad, terrible
+    colours = np.asarray(colouring.colours)
+    bad, terrible = _classify_arrays(colours, hg.edge_array(), hg.n, d, bad_edge_threshold)
+    return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
 
 
 def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
@@ -209,30 +224,41 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
     return tuple(sorted(second))
 
 
-# -- vectorised resampling state ----------------------------------------------
+# -- the resample loop -----------------------------------------------------------
 
 
-def _edge_array(hg: Hypergraph) -> np.ndarray:
-    if hg.m:
-        return np.asarray(hg.edges, dtype=np.int64)
-    return np.empty((0, hg.u), dtype=np.int64)
+def _resample(
+    hg: Hypergraph, k: int, seed: int, budget: int | None,
+    violated: Callable[[np.ndarray], np.ndarray], support: Callable[[int], Sequence[int]],
+) -> tuple[np.ndarray, int, bool]:
+    """Moser-Tardos resampling shared by every round mode.
 
+    Draws a uniform k-colouring, then, while ``violated(colours)`` flags a
+    vertex, redraws ``support(v)`` of the lowest-index flagged vertex v
+    (each support is computed once and cached).  Stops on success, when
+    the budget (default :func:`default_budget`) is spent, or at once when
+    k == 1: redrawing from a one-colour palette changes nothing.
 
-def _classify_arrays(
-    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bad mask, terrible mask) for the current colour vector."""
-    if edges.shape[0]:
-        ec = colours[edges]
-        mono = (ec == ec[:, :1]).all(axis=1)
-        mono_deg = np.bincount(edges[mono].ravel(), minlength=n)
-        bad = mono_deg >= d + 1
-        bad_edge = bad[edges].all(axis=1)
-        bad_count = np.bincount(edges[bad_edge].ravel(), minlength=n)
-    else:
-        bad = np.zeros(n, dtype=bool)
-        bad_count = np.zeros(n, dtype=np.int64)
-    return bad, bad_count > threshold
+    Returns:
+        (colour vector, resamples made, whether no vertex is flagged)
+    """
+    if budget is None:
+        budget = default_budget(hg.n)
+    rng = np.random.default_rng(seed)
+    colours = rng.integers(0, k, size=hg.n, dtype=np.int64)
+    supports: dict[int, np.ndarray] = {}
+    resamples = 0
+    while True:
+        flagged = violated(colours)
+        if not flagged.any():
+            return colours, resamples, True
+        if resamples >= budget or k == 1:
+            return colours, resamples, False
+        target = int(np.argmax(flagged))
+        if target not in supports:
+            supports[target] = np.asarray(support(target), dtype=np.int64)
+        colours[supports[target]] = rng.integers(0, k, size=supports[target].shape[0])
+        resamples += 1
 
 
 def nibble_round(
@@ -264,88 +290,167 @@ def nibble_round(
         raise ValueError(f"defect must be >= 0, got {d}")
     if threshold is None:
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
+
+    edges = hg.edge_array()
+    colours, resamples, succeeded = _resample(
+        hg, k, seed, budget,
+        lambda c: _classify_arrays(c, edges, hg.n, d, threshold)[1],
+        lambda v: closed_second_neighbourhood(hg, v),
+    )
+    trace = RoundTrace(0, "nibble", k, 0, float(hg.max_degree), resamples, 0, succeeded)
+    if not succeeded:
+        return Colouring(tuple(colours.tolist()), k), None, trace
+    bad = mono_counts(edges, colours, hg.n) > d
+    residual = tuple(np.flatnonzero(bad).tolist())
+    assignment = tuple(None if b else c for b, c in zip(bad.tolist(), colours.tolist()))
+    return Colouring(assignment, k), residual, replace(trace, residual_size=len(residual))
+
+
+def linear_lll_colouring(
+    hg: Hypergraph,
+    d: int,
+    seed: int = 0,
+    budget: int | None = None,
+) -> tuple[Colouring, RoundTrace]:
+    """Single-palette colouring of a linear hypergraph by resampling.
+
+    Uses k = floor(100 * (max_degree / (d+1))^(1/r)) colours, draws all
+    of them at once, and while any vertex has mono degree over d redraws
+    the closed (first) neighbourhood of the lowest-index offender.  That
+    neighbourhood carries every colour the offending event can read.
+
+    Raises:
+        ValueError: if the hypergraph is not linear.
+        BudgetExhaustedError: if the resample budget runs out.
+    """
+    if hg.u < 2:
+        raise ValueError("needs uniformity >= 2")
+    if d < 0:
+        raise ValueError(f"defect must be >= 0, got {d}")
+    if not hg.is_linear():
+        raise ValueError("hypergraph is not linear (two edges share two or more vertices)")
     if budget is None:
         budget = default_budget(hg.n)
 
-    rng = np.random.default_rng(seed)
-    colours = rng.integers(0, k, size=hg.n, dtype=np.int64)
-    edges = _edge_array(hg)
-    support_cache: dict[int, np.ndarray] = {}
-    resamples = 0
-
-    while True:
-        bad, terrible = _classify_arrays(colours, edges, hg.n, d, threshold)
-        if not terrible.any():
-            assignment = tuple(None if bad[v] else int(colours[v]) for v in range(hg.n))
-            residual = tuple(int(v) for v in np.flatnonzero(bad))
-            trace = RoundTrace(
-                index=0,
-                kind="nibble",
-                palette_size=k,
-                palette_start=0,
-                degree_bound=float(hg.max_degree),
-                resamples=resamples,
-                residual_size=len(residual),
-                succeeded=True,
-            )
-            return Colouring(assignment, k), residual, trace
-        if resamples >= budget or k == 1:
-            # k == 1: redrawing from a one-colour palette changes nothing,
-            # so a terrible vertex now is a terrible vertex forever.
-            trace = RoundTrace(
-                index=0,
-                kind="nibble",
-                palette_size=k,
-                palette_start=0,
-                degree_bound=float(hg.max_degree),
-                resamples=resamples,
-                residual_size=0,
-                succeeded=False,
-            )
-            return Colouring(tuple(int(c) for c in colours), k), None, trace
-        target = int(np.argmax(terrible))
-        support = support_cache.get(target)
-        if support is None:
-            support = np.asarray(closed_second_neighbourhood(hg, target), dtype=np.int64)
-            support_cache[target] = support
-        colours[support] = rng.integers(0, k, size=support.shape[0])
-        resamples += 1
+    k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1))))
+    edges, nbr = hg.edge_array(), hg.neighbour_sets()
+    colours, resamples, succeeded = _resample(
+        hg, k, seed, budget,
+        lambda c: mono_counts(edges, c, hg.n) > d,
+        lambda v: sorted(nbr[v] | {v}),
+    )
+    if not succeeded:
+        raise BudgetExhaustedError(
+            f"no d-defective colouring found within {budget} resamples (k={k})"
+        )
+    trace = RoundTrace(0, "lll", k, 0, float(hg.max_degree), resamples, 0, True)
+    return Colouring(tuple(colours.tolist()), k), trace
 
 
-# -- full pipelines -----------------------------------------------------------
+# -- the round driver -----------------------------------------------------------
 
 
-def _apply_partial(
-    out: list[int | None],
-    alive: list[int],
-    partial: Colouring,
-    offset: int,
-) -> None:
-    for local, c in enumerate(partial.colours):
-        if c is not None:
-            out[alive[local]] = offset + c
+def _formula_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int):
+    """Theorem palette: k = floor(49 * (bound/(d+1))^(1/r)), doubled up to 5 times."""
+    k = math.floor(49.0 * (bound / (d + 1)) ** (1.0 / r))
+    for probes in range(1, 7):
+        found = attempt(k)
+        if found[2].succeeded:
+            return found, probes
+        k *= 2
+    return None, 6
 
 
-def _single_colour_endgame(
-    out: list[int | None], alive: list[int], offset: int, index: int, bound: float
-) -> RoundTrace:
-    for v in alive:
-        out[v] = offset
-    return RoundTrace(index, "single", 1, offset, bound, 0, 0, True)
+def _searched_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int):
+    """Adaptive palette: double k from 1 to the first success, then bisect down.
+
+    Doubling stops past 2 * (bound + 1); greedy would use fewer colours.
+    """
+    found, probes, k = None, 0, 1
+    while k <= 2 * (bound + 1):
+        probes += 1
+        found = attempt(k)
+        if found[2].succeeded:
+            break
+        k *= 2
+    else:
+        return None, probes
+    lo, hi = k // 2 + 1, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        outcome = attempt(mid)
+        if outcome[2].succeeded:
+            hi, found = mid, outcome
+        else:
+            lo = mid + 1
+    return found, probes
 
 
-def _greedy_endgame(
-    out: list[int | None],
-    alive: list[int],
-    current: Hypergraph,
-    offset: int,
-    index: int,
-    bound: float,
-) -> RoundTrace:
-    sub = greedy_proper(current)
-    for local, c in enumerate(sub.colours):
-        out[alive[local]] = offset + c
-    return RoundTrace(index, "greedy", sub.num_colours, offset, bound, 0, 0, True)
+def _endgame(current: Hypergraph, d: int) -> tuple[Colouring, tuple[int, ...], RoundTrace]:
+    """Exact finish: one colour if the degree is at most d, else greedy proper."""
+    if current.max_degree <= d:
+        sub, kind = Colouring((0,) * current.n, 1), "single"
+    else:
+        sub, kind = greedy_proper(current), "greedy"
+    return sub, (), RoundTrace(0, kind, sub.num_colours, 0, 0.0, 0, 0, True)
+
+
+def _round_colouring(
+    hg: Hypergraph, d: int, seed: int, budget: int | None, halving: bool,
+    palette_step: Callable[[Callable[[int], _Probe], float, int, int], tuple[_Probe | None, int]],
+) -> tuple[Colouring, tuple[RoundTrace, ...]]:
+    """The round driver behind :func:`nibble_colouring` and :func:`adaptive_colouring`.
+
+    The degree bound starts at max_degree and then halves by 2^(-r) per
+    round (``halving``) or follows the residual's actual max degree.  While
+    it exceeds max(d, 8) and the residual's degree exceeds d,
+    ``palette_step`` probes ``nibble_round`` at threshold bound * 2^(-r),
+    each probe taking the next 63 bits of ``random.Random(seed)``;
+    otherwise, or when no probe succeeds, :func:`_endgame` finishes.
+    """
+    if hg.u < 2:
+        raise ValueError("round colouring needs uniformity >= 2")
+    if d < 0:
+        raise ValueError(f"defect must be >= 0, got {d}")
+
+    master = random.Random(seed)
+    r = hg.u - 1
+    out: list[int | None] = [None] * hg.n
+    traces: list[RoundTrace] = []
+    alive = list(range(hg.n))
+    current = hg
+    bound = float(hg.max_degree)
+    offset = 0
+
+    while alive:
+        if not halving:
+            bound = float(current.max_degree)
+        found, probes = None, 1
+        if current.max_degree > d and bound > max(d, SMALL_DEGREE_CUTOFF):
+            threshold = bound * 2.0 ** -r
+
+            def attempt(k: int) -> _Probe:
+                # looked up at call time, so wrappers of nibble_round see every probe
+                return nibble_round(current, d, k, threshold, budget, master.getrandbits(63))
+
+            found, probes = palette_step(attempt, bound, d, r)
+        partial, residual, trace = found or _endgame(current, d)
+        for local, c in enumerate(partial.colours):
+            if c is not None:
+                out[alive[local]] = offset + c
+        traces.append(
+            replace(trace, index=len(traces), palette_start=offset, degree_bound=bound, probes=probes)
+        )
+        offset += partial.num_colours
+        if residual:
+            current, kept = current.induced(residual)
+            alive = [alive[old] for old in kept]
+        else:
+            alive = []
+        bound *= 2.0 ** -r
+
+    return Colouring(tuple(out), offset), tuple(traces)
 
 
 def nibble_colouring(
@@ -361,80 +466,15 @@ def nibble_colouring(
     halving degree bound 2^(-r*i) * max_degree and r = u-1.  Because
     palettes never overlap, a monochromatic edge lives entirely inside
     one round's graph, so per-round defect guarantees survive into the
-    final total colouring.  When the bound drops to max(d, 8), or the
-    formula palette collapses below 2, an exact endgame finishes: one
-    fresh colour if the residual's degree is at most d, else a greedy
-    proper colouring.
+    final total colouring.  When the bound drops to max(d, 8) an exact
+    endgame finishes: one fresh colour if the residual's degree is at
+    most d, else a greedy proper colouring.  (A round runs only while
+    D_i > max(d, 8), so k_i >= 24 and the palette never collapses.)
 
     Failed rounds escalate by doubling k up to 5 times, then fall back to
     the greedy endgame; validity is never at stake, only colour count.
     """
-    if hg.u < 2:
-        raise ValueError("round colouring needs uniformity >= 2")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
-
-    master = random.Random(seed)
-    r = hg.u - 1
-    out: list[int | None] = [None] * hg.n
-    traces: list[RoundTrace] = []
-    alive = list(range(hg.n))
-    current = hg
-    bound = float(hg.max_degree)
-    offset = 0
-    round_idx = 0
-
-    while alive:
-        actual = current.max_degree
-        if actual <= d:
-            traces.append(_single_colour_endgame(out, alive, offset, round_idx, bound))
-            offset += 1
-            break
-        k = math.floor(49.0 * (bound / (d + 1)) ** (1.0 / r))
-        if bound <= max(d, SMALL_DEGREE_CUTOFF) or k < 2:
-            trace = _greedy_endgame(out, alive, current, offset, round_idx, bound)
-            traces.append(trace)
-            offset += trace.palette_size
-            break
-
-        threshold = bound * 2.0 ** -r
-        partial = residual = None
-        trace = None
-        k_try = k
-        attempts = 0
-        for attempts in range(1, 7):  # the first try plus up to 5 doublings
-            partial, residual, trace = nibble_round(
-                current, d, k_try, threshold, budget, master.getrandbits(63)
-            )
-            if trace.succeeded:
-                break
-            k_try *= 2
-        if not trace.succeeded:
-            trace = _greedy_endgame(out, alive, current, offset, round_idx, bound)
-            traces.append(replace(trace, probes=attempts))
-            offset += trace.palette_size
-            break
-
-        _apply_partial(out, alive, partial, offset)
-        traces.append(
-            replace(
-                trace,
-                index=round_idx,
-                palette_start=offset,
-                degree_bound=bound,
-                probes=attempts,
-            )
-        )
-        offset += partial.num_colours
-        if residual:
-            current, idx_map = current.induced(residual)
-            alive = [alive[old] for old in idx_map]
-        else:
-            alive = []
-        bound *= 2.0 ** -r
-        round_idx += 1
-
-    return Colouring(tuple(out), offset), tuple(traces)
+    return _round_colouring(hg, d, seed, budget, halving=True, palette_step=_formula_palette)
 
 
 def adaptive_colouring(
@@ -453,163 +493,7 @@ def adaptive_colouring(
     to twice (max degree + 1) works, a greedy proper endgame finishes the
     job; the result is always a valid d-defective total colouring.
     """
-    if hg.u < 2:
-        raise ValueError("round colouring needs uniformity >= 2")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
-
-    master = random.Random(seed)
-    r = hg.u - 1
-    out: list[int | None] = [None] * hg.n
-    traces: list[RoundTrace] = []
-    alive = list(range(hg.n))
-    current = hg
-    offset = 0
-    round_idx = 0
-
-    while alive:
-        actual = current.max_degree
-        if actual <= d:
-            traces.append(_single_colour_endgame(out, alive, offset, round_idx, float(actual)))
-            offset += 1
-            break
-        if actual <= SMALL_DEGREE_CUTOFF:
-            trace = _greedy_endgame(out, alive, current, offset, round_idx, float(actual))
-            traces.append(trace)
-            offset += trace.palette_size
-            break
-
-        threshold = actual * 2.0 ** -r
-        cap = 2 * (actual + 1)  # beyond this greedy would use fewer colours anyway
-        outcomes: dict[int, tuple[Colouring, tuple[int, ...]]] = {}
-        probes = 0
-
-        k = 1
-        first_success = None
-        while k <= cap:
-            partial, residual, trace = nibble_round(
-                current, d, k, threshold, budget, master.getrandbits(63)
-            )
-            probes += 1
-            if trace.succeeded:
-                first_success = k
-                outcomes[k] = (partial, residual)
-                success_trace = trace
-                break
-            k *= 2
-
-        if first_success is None:
-            trace = _greedy_endgame(out, alive, current, offset, round_idx, float(actual))
-            traces.append(replace(trace, probes=probes))
-            offset += trace.palette_size
-            break
-
-        lo, hi = first_success // 2 + 1, first_success
-        while lo < hi:
-            mid = (lo + hi) // 2
-            partial, residual, trace = nibble_round(
-                current, d, mid, threshold, budget, master.getrandbits(63)
-            )
-            probes += 1
-            if trace.succeeded:
-                hi = mid
-                outcomes[mid] = (partial, residual)
-                success_trace = trace
-            else:
-                lo = mid + 1
-
-        partial, residual = outcomes[hi]
-        _apply_partial(out, alive, partial, offset)
-        traces.append(
-            replace(
-                success_trace,
-                index=round_idx,
-                palette_size=hi,
-                palette_start=offset,
-                degree_bound=float(actual),
-                probes=probes,
-            )
-        )
-        offset += hi
-        if residual:
-            current, idx_map = current.induced(residual)
-            alive = [alive[old] for old in idx_map]
-        else:
-            alive = []
-        round_idx += 1
-
-    return Colouring(tuple(out), offset), tuple(traces)
-
-
-def linear_lll_colouring(
-    hg: Hypergraph,
-    d: int,
-    seed: int = 0,
-    budget: int | None = None,
-) -> Colouring:
-    """Single-palette colouring of a linear hypergraph by resampling.
-
-    Uses k = floor(100 * (max_degree / (d+1))^(1/r)) colours, draws all
-    of them at once, and while any vertex has mono degree over d redraws
-    the closed (first) neighbourhood of the lowest-index offender.  That
-    neighbourhood carries every colour the offending event can read.
-
-    Raises:
-        ValueError: if the hypergraph is not linear.
-        BudgetExhaustedError: if the resample budget runs out.
-    """
-    colouring, _ = _lll_run(hg, d, seed, budget)
-    return colouring
-
-
-def _lll_run(
-    hg: Hypergraph,
-    d: int,
-    seed: int,
-    budget: int | None,
-) -> tuple[Colouring, RoundTrace]:
-    if hg.u < 2:
-        raise ValueError("needs uniformity >= 2")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
-    if not hg.is_linear():
-        raise ValueError("hypergraph is not linear (two edges share two or more vertices)")
-    if budget is None:
-        budget = default_budget(hg.n)
-
-    r = hg.u - 1
-    k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / r)))
-    rng = np.random.default_rng(seed)
-    colours = rng.integers(0, k, size=hg.n, dtype=np.int64)
-    edges = _edge_array(hg)
-    nbr = hg.neighbour_sets()
-    support_cache: dict[int, np.ndarray] = {}
-    resamples = 0
-
-    while True:
-        if edges.shape[0]:
-            ec = colours[edges]
-            mono = (ec == ec[:, :1]).all(axis=1)
-            mono_deg = np.bincount(edges[mono].ravel(), minlength=hg.n)
-            bad = mono_deg >= d + 1
-        else:
-            bad = np.zeros(hg.n, dtype=bool)
-        if not bad.any():
-            trace = RoundTrace(0, "lll", k, 0, float(hg.max_degree), resamples, 0, True)
-            return Colouring(tuple(int(c) for c in colours), k), trace
-        if resamples >= budget or k == 1:
-            raise BudgetExhaustedError(
-                f"no d-defective colouring found within {budget} resamples (k={k})"
-            )
-        target = int(np.argmax(bad))
-        support = support_cache.get(target)
-        if support is None:
-            closed = set(nbr[target])
-            closed.add(target)
-            support = np.asarray(sorted(closed), dtype=np.int64)
-            support_cache[target] = support
-        colours[support] = rng.integers(0, k, size=support.shape[0])
-        resamples += 1
+    return _round_colouring(hg, d, seed, budget, halving=False, palette_step=_searched_palette)
 
 
 def graph_maxcut_colouring(hg: Hypergraph, d: int, seed: int = 0) -> Colouring:
@@ -623,15 +507,14 @@ def graph_maxcut_colouring(hg: Hypergraph, d: int, seed: int = 0) -> Colouring:
     Raises:
         ValueError: if the hypergraph is not 2-uniform.
     """
-    from .partition import max_cut_partition
+    from .partition import max_cut_search  # at call time, so wrappers of it apply
 
     if hg.u != 2:
         raise ValueError(f"needs a 2-uniform hypergraph, got uniformity {hg.u}")
     if d < 0:
         raise ValueError(f"defect must be >= 0, got {d}")
     num_parts = hg.max_degree // (d + 1) + 1
-    partition = max_cut_partition(hg, num_parts, seed)
-    return Colouring(tuple(partition.parts), num_parts)
+    return Colouring(max_cut_search(hg, num_parts, seed).partition.parts, num_parts)
 
 
 def greedy_proper(hg: Hypergraph) -> Colouring:
@@ -664,20 +547,15 @@ def run_engine(hg: Hypergraph, config: EngineConfig) -> EngineResult:
     """Dispatch one colouring run according to the configuration."""
     mode, d, seed, budget = config.mode, config.defect, config.seed, config.budget
     if mode == "theorem":
-        colouring, traces = nibble_colouring(hg, d, seed, budget)
-        return EngineResult(mode, colouring, traces)
+        return EngineResult(mode, *nibble_colouring(hg, d, seed, budget))
     if mode == "adaptive":
-        colouring, traces = adaptive_colouring(hg, d, seed, budget)
-        return EngineResult(mode, colouring, traces)
+        return EngineResult(mode, *adaptive_colouring(hg, d, seed, budget))
     if mode == "naive-lll":
-        colouring, trace = _lll_run(hg, d, seed, budget)
+        colouring, trace = linear_lll_colouring(hg, d, seed, budget)
         return EngineResult(mode, colouring, (trace,))
     if mode == "graph-maxcut":
-        colouring = graph_maxcut_colouring(hg, d, seed)
-        trace = RoundTrace(0, "maxcut", colouring.num_colours, 0, float(hg.max_degree), 0, 0, True)
-        return EngineResult(mode, colouring, (trace,))
-    if mode == "greedy-proper":
-        colouring = greedy_proper(hg)
-        trace = RoundTrace(0, "greedy", colouring.num_colours, 0, float(hg.max_degree), 0, 0, True)
-        return EngineResult(mode, colouring, (trace,))
-    raise ValueError(f"unknown mode {mode!r}")  # unreachable; EngineConfig validates
+        colouring, kind = graph_maxcut_colouring(hg, d, seed), "maxcut"
+    else:
+        colouring, kind = greedy_proper(hg), "greedy"
+    trace = RoundTrace(0, kind, colouring.num_colours, 0, float(hg.max_degree), 0, 0, True)
+    return EngineResult(mode, colouring, (trace,))

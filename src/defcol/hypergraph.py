@@ -12,6 +12,8 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Iterator
 
+import numpy as np
+
 __all__ = [
     "VertexSet",
     "Hypergraph",
@@ -55,9 +57,7 @@ class Hypergraph:
     representable.  The text format boundary still insists on ``u >= 2``.
     """
 
-    # Kept for completeness: internal callers could relax the duplicate-edge
-    # check via _multi, but nothing in this package does.
-    def __init__(self, n: int, u: int, edges: Iterable[Iterable[int]], *, _multi: bool = False):
+    def __init__(self, n: int, u: int, edges: Iterable[Iterable[int]]):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         if u < 1:
@@ -73,12 +73,11 @@ class Hypergraph:
             if e[0] < 0 or e[-1] >= n:
                 raise ValueError(f"edge {e!r} has a vertex outside 0..{n - 1}")
             canon.append(e)
-        if not _multi:
-            seen = set()
-            for e in canon:
-                if e in seen:
-                    raise ValueError(f"duplicate edge {e!r}")
-                seen.add(e)
+        seen = set()
+        for e in canon:
+            if e in seen:
+                raise ValueError(f"duplicate edge {e!r}")
+            seen.add(e)
         self.edges: tuple[VertexSet, ...] = tuple(canon)
 
         incidence: list[list[int]] = [[] for _ in range(n)]
@@ -88,6 +87,7 @@ class Hypergraph:
         self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
         self._max_degree = max((len(lst) for lst in self._incidence), default=0)
         self._neighbour_sets: tuple[frozenset[int], ...] | None = None
+        self._edge_array: np.ndarray | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -124,6 +124,13 @@ class Hypergraph:
         pivot = min(s, key=lambda v: len(self._incidence[v]))
         rest = set(s)
         return sum(1 for idx in self._incidence[pivot] if rest.issubset(self.edges[idx]))
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, u) int64 array, built on first use."""
+        if self._edge_array is None:
+            self._edge_array = np.asarray(self.edges, dtype=np.int64).reshape(self.m, self.u)
+            self._edge_array.flags.writeable = False
+        return self._edge_array
 
     def neighbour_sets(self) -> tuple[frozenset[int], ...]:
         """Per-vertex sets of distinct neighbours (co-members of some edge)."""

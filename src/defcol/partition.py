@@ -18,7 +18,6 @@ __all__ = [
     "Partition",
     "MaxCutRun",
     "pair_objective",
-    "max_cut_partition",
     "max_cut_search",
     "within_part_incident_count",
     "guarantee_bound",
@@ -123,11 +122,6 @@ def _least_loaded_part(tally: Counter[int], num_parts: int) -> int:
             if i not in occupied:
                 return i
     return min(range(num_parts), key=lambda i: (tally[i], i))
-
-
-def max_cut_partition(hg: Hypergraph, num_parts: int, seed: int = 0) -> Partition:
-    """Locally optimal partition for the same-part codegree objective."""
-    return max_cut_search(hg, num_parts, seed).partition
 
 
 def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> int:

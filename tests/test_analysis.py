@@ -1,8 +1,11 @@
 """Verification, exact oracle, lower-bound certificates, grid witnesses, probes."""
 
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defcol import (
     Colouring,
@@ -18,6 +21,7 @@ from defcol import (
     grid,
     grid_defect_witness,
     index_to_coords,
+    mono_degree,
     probe_bad_vertex,
     probe_mono_edge,
     verify,
@@ -56,6 +60,25 @@ class TestVerify:
     def test_rejects_negative_defect(self):
         with pytest.raises(ValueError):
             verify(TRIANGLE, Colouring((0, 0, 0), 1), -1)
+
+    def test_empty_hypergraphs(self):
+        assert verify(Hypergraph(0, 2, []), Colouring((), 1), 0).mono_degrees == ()
+        assert verify(Hypergraph(2, 2, []), Colouring((0, 0), 1), 0).mono_degrees == (0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_vertex_scan(self, data):
+        # the vectorised kernel against mono_degree, which shares no code with it
+        u = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(u, 10))
+        pool = list(combinations(range(n), u))
+        hg = Hypergraph(n, u, data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=40)))
+        k = data.draw(st.integers(1, 4))
+        shift = data.draw(st.sampled_from([0, 2**70]))  # labels past int64 too
+        draws = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        colouring = Colouring(tuple(shift + c for c in draws), shift + k)
+        report = verify(hg, colouring, 0)
+        assert report.mono_degrees == tuple(mono_degree(hg, colouring, v) for v in range(n))
 
 
 class TestWitnessSearch:

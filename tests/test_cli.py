@@ -101,6 +101,21 @@ class TestColorAndVerify:
             f.write_text(text)
             assert main(["verify", c5, str(f), "--defect", "0"]) == 2
 
+    def test_unassigned_vertex_names_the_file(self, c5, tmp_path, capsys):
+        partial = tmp_path / "a.txt"
+        partial.write_text("0 0\n1 1\n3 0\n4 1\n")
+        assert main(["verify", c5, str(partial), "--defect", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {partial}: 1 vertices unassigned (first: [2])" in err
+        assert "line 0" not in err
+
+    def test_huge_colour_labels_verify(self, c5, tmp_path, capsys):
+        big = tmp_path / "big.col"
+        big.write_text("".join(f"{v} {2**70 + v % 2}\n" for v in range(5)))
+        assert main(["verify", c5, str(big), "--defect", "1"]) == 0
+        assert main(["verify", c5, str(big), "--defect", "0"]) == 1
+        assert "max mono degree  : 1" in capsys.readouterr().out
+
     def test_budget_exhaustion_exits_one(self, h3, monkeypatch, capsys):
         def explode(hg, config):
             raise BudgetExhaustedError("out of resamples")

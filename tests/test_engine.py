@@ -1,9 +1,12 @@
 """Colouring engine: elementary operations, resampling rounds, full modes."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defcol import (
     MODES,
@@ -16,6 +19,7 @@ from defcol import (
     graph_maxcut_colouring,
     greedy_proper,
     linear_lll_colouring,
+    mono_counts,
     mono_degree,
     nibble_colouring,
     nibble_round,
@@ -25,7 +29,7 @@ from defcol import (
     uniform_colouring,
     verify,
 )
-from defcol.engine import _classify_arrays, _edge_array, closed_second_neighbourhood
+from defcol.engine import closed_second_neighbourhood
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 
@@ -94,15 +98,28 @@ class TestClassify:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_vectorised_form(self, seed):
+        # classify runs on the shared kernel; the reference side is pure
+        # Python: mono_degree per vertex, bad-edge counts over incident edges
         hg = random_bounded_degree(20, 3, 8, 50, seed=seed)
         col = uniform_colouring(hg, 2, seed=seed)
         for d in (0, 1):
             threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
             bad, terrible = classify(hg, col, d)
-            arr = np.asarray(col.colours, dtype=np.int64)
-            bad_mask, terr_mask = _classify_arrays(arr, _edge_array(hg), hg.n, d, threshold)
-            assert bad == set(np.flatnonzero(bad_mask))
-            assert terrible == set(np.flatnonzero(terr_mask))
+            ref_bad = {v for v in range(hg.n) if mono_degree(hg, col, v) >= d + 1}
+            ref_terrible = {
+                v
+                for v in range(hg.n)
+                if sum(set(hg.edges[i]) <= ref_bad for i in hg.incident(v)) > threshold
+            }
+            assert bad == ref_bad
+            assert terrible == ref_terrible
+
+
+def test_mono_counts_kernel():
+    assert mono_counts(TRIANGLE.edge_array(), np.array([0, 0, 1]), 3).tolist() == [1, 1, 0]
+    assert mono_counts(TRIANGLE.edge_array(), np.zeros(3, dtype=np.int64), 3).tolist() == [2, 2, 2]
+    empty = Hypergraph(4, 3, [])
+    assert mono_counts(empty.edge_array(), np.zeros(4, dtype=np.int64), 4).tolist() == [0] * 4
 
 
 def test_closed_second_neighbourhood_on_a_path():
@@ -210,15 +227,16 @@ class TestLinearLLL:
 
     def test_palette_follows_the_formula(self):
         hg = random_linear(30, 3, 6, 40, seed=2)
-        colouring = linear_lll_colouring(hg, 1)
+        colouring, trace = linear_lll_colouring(hg, 1)
         expected = math.floor(100.0 * (hg.max_degree / 2) ** 0.5)
         assert colouring.num_colours == expected
+        assert (trace.kind, trace.palette_size, trace.succeeded) == ("lll", expected, True)
         assert verify(hg, colouring, 1).is_defective
 
     @pytest.mark.parametrize("seed", range(4))
     def test_valid_on_linear_instances(self, seed):
         hg = random_linear(50, 3, 8, 80, seed=seed)
-        colouring = linear_lll_colouring(hg, 1, seed=seed)
+        colouring, _ = linear_lll_colouring(hg, 1, seed=seed)
         assert verify(hg, colouring, 1).is_defective
 
 
@@ -260,6 +278,32 @@ class TestGreedyProper:
 
     def test_empty_graph(self):
         assert greedy_proper(Hypergraph(0, 2, [])).colours == ()
+
+
+@st.composite
+def small_hypergraphs(draw, u, linear=False):
+    n = draw(st.integers(u, 12))
+    pool = list(combinations(range(n), u))
+    edges = []
+    for e in draw(st.lists(st.sampled_from(pool), unique=True, max_size=60)):
+        if not linear or all(len(set(e) & set(f)) < 2 for f in edges):
+            edges.append(e)
+    return Hypergraph(n, u, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(MODES), st.integers(0, 3), st.integers(0, 2**32))
+def test_every_mode_returns_a_verified_colouring(data, mode, d, seed):
+    u = {"graph-maxcut": 2, "naive-lll": 3}.get(mode) or data.draw(st.integers(2, 4))
+    hg = data.draw(small_hypergraphs(u, linear=mode == "naive-lll"))
+    # small budgets drive theorem and adaptive into failed probes; naive-lll
+    # has no fallback, so it keeps enough budget to finish on these sizes
+    budget = data.draw(st.integers(20 if mode == "naive-lll" else 1, 40))
+    result = run_engine(hg, EngineConfig(mode=mode, defect=d, seed=seed, budget=budget))
+    assert result.colouring.is_total
+    assert verify(hg, result.colouring, d).is_defective
+    if mode in ("theorem", "adaptive"):
+        check_traces_tile_palette(result.colouring, result.traces)
 
 
 class TestRunEngine:

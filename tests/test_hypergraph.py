@@ -51,6 +51,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(3, 2, [(0, 3)])
 
+    def test_edge_array_is_built_once_and_read_only(self):
+        hg = Hypergraph(4, 3, [(2, 0, 1), (1, 2, 3)])
+        arr = hg.edge_array()
+        assert arr is hg.edge_array()
+        assert arr.tolist() == [[0, 1, 2], [1, 2, 3]]
+        with pytest.raises(ValueError):
+            arr[0, 0] = 3
+        assert Hypergraph(5, 3, []).edge_array().shape == (0, 3)
+
     def test_duplicate_edge(self):
         with pytest.raises(ValueError):
             Hypergraph(4, 2, [(0, 1), (1, 0)])

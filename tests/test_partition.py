@@ -8,7 +8,6 @@ from defcol import (
     Hypergraph,
     Partition,
     guarantee_bound,
-    max_cut_partition,
     max_cut_search,
     pair_objective,
     random_bounded_degree,
@@ -72,7 +71,7 @@ class TestMaxCutSearch:
     @pytest.mark.parametrize("seed,ell", [(0, 2), (1, 3), (2, 5), (3, 10)])
     def test_local_optimum_guarantee(self, seed, ell):
         hg = random_bounded_degree(36, 3, 9, 90, seed=seed)
-        partition = max_cut_partition(hg, ell, seed=seed)
+        partition = max_cut_search(hg, ell, seed=seed).partition
         for x in range(hg.n):
             within = within_part_incident_count(hg, partition, x)
             assert within <= guarantee_bound(hg, ell, x) + 1e-9
