@@ -36,7 +36,7 @@ ORACLE_VERTEX_GUARD = 16
 
 
 class SizeGuardError(ValueError):
-    """The exact oracle refused an instance too large for brute force."""
+    """An instance too large for the job was refused: brute force, or generating it."""
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Any, Sequence
 
 from .analysis import (
+    SizeGuardError,
     bad_vertex_ceiling,
     exact_defective_chromatic,
     probe_bad_vertex,
@@ -49,6 +51,9 @@ from .partition import (
 from .sunflowers import decompose, leftover_bound
 
 __all__ = ["main", "entry"]
+
+# Largest vertex or edge count `generate --family complete|grid` builds without --force.
+GENERATE_GUARD = 2_000_000
 
 
 # -- plumbing ---------------------------------------------------------------------
@@ -133,9 +138,30 @@ def _write_assignment(path: str, colouring: Colouring) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 
+def _past_generate_guard(args: argparse.Namespace) -> bool:
+    """Whether complete or grid flags ask for more than GENERATE_GUARD vertices or edges.
+
+    complete has n vertices and C(n, u) edges; grid has n^r vertices and
+    (n(n-1)/2)^r edges.  Capping the choice and the exponent at 64 keeps
+    the check instant without changing its answer, since either count is
+    then past 2^64.  Flags the generator rejects anyway pass through.
+    """
+    n, u, r = args.n, args.u, args.r
+    if args.family == "complete" and 2 <= u <= n:
+        return max(n, math.comb(n, min(u, n - u, 64))) > GENERATE_GUARD
+    if args.family == "grid" and n >= 2 and r >= 1:
+        return max(n, n * (n - 1) // 2) ** min(r, 64) > GENERATE_GUARD
+    return False
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     family = args.family
+    if not args.force and _past_generate_guard(args):
+        raise SizeGuardError(
+            f"{family} instance has more than {GENERATE_GUARD} vertices or edges; "
+            "pass --force to build it anyway"
+        )
     if family == "complete":
         hg = complete(args.n, args.u)
     elif family == "grid":
@@ -405,6 +431,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "colours": colours,
                 "reference": reference,
                 "ratio": ratio,
+                "seconds": round(elapsed, 6),
             }
         )
     _write_record(args, None, {"suite": args.suite, "rows": out_rows}, started)
@@ -438,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, default=None, help="target edge count (default 2n)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write instance here instead of stdout")
+    p.add_argument("--force", action="store_true", help="ignore the size guard")
     _add_json(p)
     p.set_defaults(func=_cmd_generate)
 

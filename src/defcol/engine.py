@@ -523,18 +523,29 @@ def greedy_proper(hg: Hypergraph) -> Colouring:
     Vertices are coloured in index order; a colour is forbidden for v only
     when some incident edge has all its other vertices already coloured
     with exactly that colour, so at most deg(v) colours are ever ruled out.
+    Such an edge has v as its largest vertex, so each edge is read once,
+    when its largest vertex is coloured.
     """
     if hg.u == 1 and hg.m:
         raise ValueError("singleton edges are monochromatic under any colouring")
+    edges = hg.edge_array()
+    last = edges[:, -1]
+    # the other vertices of each edge, grouped by the edge's largest vertex
+    # (the order inside a group does not matter)
+    heads = edges[np.argsort(last), :-1].tolist()
+    ends = np.cumsum(np.bincount(last, minlength=hg.n)).tolist()
     out = [0] * hg.n
-    for v in range(hg.n):
+    start = 0
+    for v, end in enumerate(ends):
         forbidden = set()
-        for idx in hg.incident(v):
-            others = [w for w in hg.edges[idx] if w != v]
-            if all(w < v for w in others):
-                shared = out[others[0]]
-                if all(out[w] == shared for w in others[1:]):
-                    forbidden.add(shared)
+        for others in heads[start:end]:
+            shared = out[others[0]]
+            for w in others:
+                if out[w] != shared:
+                    break
+            else:
+                forbidden.add(shared)
+        start = end
         c = 0
         while c in forbidden:
             c += 1

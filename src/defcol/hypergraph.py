@@ -1,15 +1,17 @@
-"""Finite uniform hypergraphs with an eager incidence index.
+"""Finite uniform hypergraphs stored as an (m, u) integer array.
 
 Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
-distinct vertices, stored as a sorted tuple.  The plain-text instance
-format used by the command line tools lives here too, next to the type
-it describes.
+distinct vertices.  The edges are kept as one read-only int64 array with
+each row sorted; the tuple views (``edges``, ``incident``, the neighbour
+sets) are built from it on first use and cached.  The plain-text
+instance format used by the command line tools lives here too, next to
+the type it describes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+import warnings
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,69 +46,130 @@ class InstanceFormatError(ValueError):
         self.line = line
 
 
+# numpy keeps an array's byte size below 2**63, so an int64 dimension stays below 2**60
+_SIZE_LIMIT = 2**60
+
+
+def _first_fault(edges: Iterable[Iterable[int]], n: int, u: int) -> None:
+    """The per-edge check, in input order: raise the ValueError naming the first bad edge.
+
+    This is the reference the vectorised checks in :class:`Hypergraph` stand
+    in for; it runs only once they have found a fault, and it writes the message.
+    """
+    canon: list[VertexSet] = []
+    for edge in edges:
+        e = tuple(sorted(edge))
+        if len(e) != u or len(set(e)) != u:
+            raise ValueError(f"edge {tuple(edge)!r} does not have exactly {u} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e!r} has a vertex outside 0..{n - 1}")
+        canon.append(e)
+    seen = set()
+    for e in canon:
+        if e in seen:
+            raise ValueError(f"duplicate edge {e!r}")
+        seen.add(e)
+
+
 class Hypergraph:
     """A ``u``-uniform hypergraph on ``n`` vertices.
 
     Edges must each contain exactly ``u`` distinct vertices in range, and
-    duplicate edges are rejected.  A vertex-to-incident-edges index is
-    built eagerly at construction; degree queries never scan the whole
-    edge list when a smaller incidence list will do.
+    duplicate edges are rejected; the first offending edge, in input
+    order, is named in the ``ValueError``.  The edges are stored once, as
+    the (m, u) array :meth:`edge_array` returns, with degrees counted at
+    construction.  The tuple views (``edges``, :meth:`incident`,
+    :meth:`neighbour_sets`) are built on first use, so code that works
+    on the array never pays for them.
 
     ``u >= 2`` is the usual case; ``u == 1`` is permitted so that links of
     2-uniform hypergraphs (whose edges shrink to singletons) remain
     representable.  The text format boundary still insists on ``u >= 2``.
     """
 
-    def __init__(self, n: int, u: int, edges: Iterable[Iterable[int]]):
+    def __init__(self, n: int, u: int, edges: Iterable[Iterable[int]] | np.ndarray):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         if u < 1:
             raise ValueError(f"uniformity must be >= 1, got {u}")
+        if max(n, u) >= _SIZE_LIMIT:
+            raise ValueError(f"vertex count and uniformity must be below 2**60, got n={n}, u={u}")
         self.n = n
         self.u = u
 
-        canon: list[VertexSet] = []
-        for edge in edges:
-            e = tuple(sorted(edge))
-            if len(e) != u or len(set(e)) != u:
-                raise ValueError(f"edge {tuple(edge)!r} does not have exactly {u} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e!r} has a vertex outside 0..{n - 1}")
-            canon.append(e)
-        seen = set()
-        for e in canon:
-            if e in seen:
-                raise ValueError(f"duplicate edge {e!r}")
-            seen.add(e)
-        self.edges: tuple[VertexSet, ...] = tuple(canon)
-
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        for idx, e in enumerate(self.edges):
-            for v in e:
-                incidence[v].append(idx)
-        self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in incidence)
-        self._max_degree = max((len(lst) for lst in self._incidence), default=0)
+        if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == u \
+                and edges.dtype.kind in "iu":
+            given: list[tuple] | np.ndarray = edges
+            rows: np.ndarray | None = np.sort(edges, axis=1)
+        else:
+            given = list(map(tuple, edges.tolist() if isinstance(edges, np.ndarray) else edges))
+            rows = None  # stays None for rows numpy cannot hold as int64 integers
+            if not given:
+                rows = np.empty((0, u), dtype=np.int64)
+            elif set(map(len, given)) == {u}:
+                found = np.array(given)
+                if found.ndim == 2 and found.dtype.kind in "iu":
+                    rows = np.sort(found, axis=1)
+        # detect faults in numpy; the per-edge check then names the first one
+        if rows is None or (len(rows) and not (
+            rows[:, 0].min() >= 0 and rows[:, -1].max() < n and (rows[:, 1:] != rows[:, :-1]).all()
+        )):
+            _first_fault(given if isinstance(given, list) else given.tolist(), n, u)
+            raise TypeError("edge vertices must be integers")  # the check passed non-integer labels
+        arr = rows.astype(np.int64, copy=False)
+        if len(arr) > 1:
+            # base-n row codes, exact while n^u < 2^63 and a wrapping hash past that:
+            # equal codes send the edges to the exact check, which names a true duplicate
+            codes = np.zeros(len(arr), dtype=np.int64)
+            for column in arr.T:
+                codes = codes * n + column
+            codes.sort()
+            if (codes[1:] == codes[:-1]).any():
+                _first_fault(arr.tolist(), n, u)
+        arr.flags.writeable = False
+        self._edges = arr
+        self._degrees = np.bincount(arr.ravel(), minlength=n)
+        self._max_degree = int(self._degrees.max()) if n else 0
+        self._edge_tuples: tuple[VertexSet, ...] | None = None
+        self._incidence: tuple[tuple[int, ...], ...] | None = None
         self._neighbour_sets: tuple[frozenset[int], ...] | None = None
-        self._edge_array: np.ndarray | None = None
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return len(self._edges)
 
     @property
     def max_degree(self) -> int:
         return self._max_degree
 
+    @property
+    def edges(self) -> tuple[VertexSet, ...]:
+        """The edges as sorted vertex tuples, in input order, built on first use."""
+        if self._edge_tuples is None:
+            self._edge_tuples = tuple(map(tuple, self._edges.tolist()))
+        return self._edge_tuples
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, u) int64 array, each row sorted."""
+        return self._edges
+
     def incident(self, v: int) -> tuple[int, ...]:
-        """Indices (into ``edges``) of the edges containing vertex ``v``."""
+        """Indices (into ``edges``) of the edges containing vertex ``v``, increasing."""
         self._check_vertex(v)
+        if self._incidence is None:
+            # a stable sort of the flattened rows lists each vertex's edges in index order
+            ids = (np.argsort(self._edges.ravel(), kind="stable") // self.u).tolist()
+            ends = np.cumsum(self._degrees).tolist()
+            self._incidence = tuple(
+                tuple(ids[start:end]) for start, end in zip([0] + ends[:-1], ends)
+            )
         return self._incidence[v]
 
     def degrees(self) -> list[int]:
-        return [len(lst) for lst in self._incidence]
+        return self._degrees.tolist()
 
     def degree(self, vertices: Iterable[int]) -> int:
         """Number of edges containing every vertex of the given set.
@@ -119,29 +182,28 @@ class Hypergraph:
         if not s:
             return self.m
         if len(s) == 1:
-            return len(self._incidence[s[0]])
+            return int(self._degrees[s[0]])
         # Scan the shortest incidence list among the members.
-        pivot = min(s, key=lambda v: len(self._incidence[v]))
+        pivot = min(s, key=lambda v: self._degrees[v])
         rest = set(s)
-        return sum(1 for idx in self._incidence[pivot] if rest.issubset(self.edges[idx]))
-
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (m, u) int64 array, built on first use."""
-        if self._edge_array is None:
-            self._edge_array = np.asarray(self.edges, dtype=np.int64).reshape(self.m, self.u)
-            self._edge_array.flags.writeable = False
-        return self._edge_array
+        return sum(1 for idx in self.incident(pivot) if rest.issubset(self.edges[idx]))
 
     def neighbour_sets(self) -> tuple[frozenset[int], ...]:
         """Per-vertex sets of distinct neighbours (co-members of some edge)."""
         if self._neighbour_sets is None:
-            sets: list[set[int]] = [set() for _ in range(self.n)]
-            for e in self.edges:
-                for v in e:
-                    sets[v].update(e)
-            for v in range(self.n):
-                sets[v].discard(v)
-            self._neighbour_sets = tuple(frozenset(s) for s in sets)
+            e, n = self._edges, self.n
+            # code a*n + b for each ordered pair of distinct co-members; n*n fits
+            # in int64 for any n whose degree array fits in memory (with no
+            # edges there are no pairs, however large u is)
+            pairs = permutations(range(self.u), 2) if self.m else ()
+            codes = np.concatenate([np.empty(0, np.int64)] + [e[:, i] * n + e[:, j] for i, j in pairs])
+            codes.sort()
+            codes = codes[np.diff(codes, prepend=-1) != 0]
+            others = (codes % n).tolist()
+            ends = np.cumsum(np.bincount(codes // n, minlength=n)).tolist()
+            self._neighbour_sets = tuple(
+                frozenset(others[start:end]) for start, end in zip([0] + ends[:-1], ends)
+            )
         return self._neighbour_sets
 
     # -- derived hypergraphs -----------------------------------------------
@@ -159,41 +221,33 @@ class Hypergraph:
         self._check_vertex(v)
         if self.u < 2:
             raise ValueError("link of a 1-uniform hypergraph is not defined")
+        rows = self._edges[(self._edges == v).any(axis=1)]
+        rest = rows[rows != v].reshape(-1, self.u - 1)
         old_of_new = [w for w in range(self.n) if w != v]
-        new_of_old = {w: i for i, w in enumerate(old_of_new)}
-        link_edges = [
-            tuple(new_of_old[w] for w in self.edges[idx] if w != v)
-            for idx in self._incidence[v]
-        ]
-        return Hypergraph(self.n - 1, self.u - 1, link_edges), old_of_new
+        return Hypergraph(self.n - 1, self.u - 1, rest - (rest > v)), old_of_new
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", list[int]]:
         """Subhypergraph induced on a vertex subset, relabelled to 0..|W|-1.
 
-        Keeps exactly the edges contained entirely in the subset.  The
-        returned index map sends new labels back to original ones.
+        Keeps exactly the edges contained entirely in the subset, in their
+        order.  The returned index map sends new labels back to original ones.
         """
         old_of_new = list(as_vertex_set(vertices))
         for v in old_of_new:
             self._check_vertex(v)
-        keep = set(old_of_new)
-        new_of_old = {w: i for i, w in enumerate(old_of_new)}
-        sub_edges = [
-            tuple(new_of_old[w] for w in e)
-            for e in self.edges
-            if keep.issuperset(e)
-        ]
-        return Hypergraph(len(old_of_new), self.u, sub_edges), old_of_new
+        new_of_old = np.full(self.n, -1, dtype=np.int64)
+        new_of_old[np.asarray(old_of_new, dtype=np.int64)] = np.arange(len(old_of_new))
+        sub = new_of_old[self._edges]
+        return Hypergraph(len(old_of_new), self.u, sub[(sub >= 0).all(axis=1)]), old_of_new
 
     def is_linear(self) -> bool:
         """True when no two distinct edges share two or more vertices."""
-        pair_count: Counter[tuple[int, int]] = Counter()
-        for e in self.edges:
-            for pair in combinations(e, 2):
-                pair_count[pair] += 1
-                if pair_count[pair] > 1:
-                    return False
-        return True
+        e, n = self._edges, self.n
+        # each sorted row gives its pairs as codes a*n + b with a < b
+        pairs = combinations(range(self.u), 2) if self.m else ()
+        codes = np.concatenate([np.empty(0, np.int64)] + [e[:, i] * n + e[:, j] for i, j in pairs])
+        codes.sort()
+        return not (codes[1:] == codes[:-1]).any()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -231,12 +285,75 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, stripped
 
 
+# Byte classes for the vectorised reader.  Any other byte (a '#', an
+# underscore, a non-ASCII digit, a form feed, ...) is class 0 and leaves
+# the text to the line parser, so the two agree on what is accepted.
+_DIGIT, _SIGN, _BLANK, _BREAK = range(1, 5)
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+_BYTE_CLASS[list(b" \t")] = _BLANK
+_BYTE_CLASS[list(b"\n\r")] = _BREAK
+_MAX_TOKEN = 18  # digits, sign included, that always fit in int64
+
+
+def _read_array(text: str) -> tuple[int, int, np.ndarray] | None:
+    """(n, u, edge array) when every token is a plain integer and the lines are well formed.
+
+    Returns None whenever the text is anything else; the line parser then
+    judges it.  No Python object is made per token.
+    """
+    if not text.isascii():
+        return None
+    cls = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if not cls.all():
+        return None
+    word = (cls <= _SIGN).view(np.int8)
+    bounds = np.diff(word, prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
+    if len(starts) < 3 or (ends - starts).max() > _MAX_TOKEN:
+        return None
+    # tokens per line, from the tokens that start before each line break; a
+    # "\r\n" pair adds an empty line, which is skipped like a blank one
+    before_break = np.searchsorted(starts, np.flatnonzero(cls == _BREAK))
+    per_line = np.diff(before_break, prepend=0, append=len(starts))
+    counts = per_line[per_line > 0]
+    try:
+        with warnings.catch_warnings():  # older numpy only warns on a partial read
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):  # a token such as "+" or "1+"
+        return None
+    # one value per token: a sign inside a token ("2-1") splits it in two
+    if len(values) != len(starts) or counts[0] != 3:
+        return None
+    n, m, u = values[:3].tolist()
+    if n < 0 or m < 0 or u < 2 or len(counts) != m + 1 or (counts[1:] != u).any():
+        return None
+    return n, u, values[3:].reshape(m, u)
+
+
 def parse_instance(text: str) -> Hypergraph:
     """Parse the plain-text instance format into a Hypergraph.
+
+    Clean text is read in one vectorised pass.  Anything else (comments,
+    unusual digits or a fault of any kind) goes through the line parser,
+    which accepts exactly what it always has and names the offending line.
 
     Raises:
         InstanceFormatError: on any malformed line, with its line number.
     """
+    read = _read_array(text)
+    if read is not None:
+        try:
+            return Hypergraph(*read)
+        except ValueError:
+            pass  # the line parser below reports it with its line number
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """The line-by-line parser: the judge of what is accepted, and its error reporter."""
     lines = _significant_lines(text)
     try:
         lineno, header = next(lines)
@@ -284,5 +401,5 @@ def format_instance(hg: Hypergraph) -> str:
     if hg.u < 2:
         raise ValueError("text format requires uniformity >= 2")
     out = [f"{hg.n} {hg.m} {hg.u}"]
-    out.extend(" ".join(str(v) for v in e) for e in hg.edges)
+    out.extend(" ".join(map(str, e)) for e in hg.edge_array().tolist())
     return "\n".join(out) + "\n"

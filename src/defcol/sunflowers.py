@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .hypergraph import Hypergraph, VertexSet, as_vertex_set
 
 __all__ = [
@@ -124,14 +126,15 @@ def find_sunflower(hg: Hypergraph, a: int) -> Sunflower | None:
 
     matched_edges: list[VertexSet] = []
     matched_vertices: set[int] = set()
-    for e in hg.edges:
+    for row in hg.edge_array():  # row by row: the scan usually stops after a few edges
+        e = tuple(row.tolist())
         if matched_vertices.isdisjoint(e):
             matched_edges.append(e)
             matched_vertices.update(e)
             if len(matched_edges) == a:
                 return Sunflower(core=(), petals=tuple(matched_edges))
 
-    busiest = min(matched_vertices, key=lambda v: (-len(hg.incident(v)), v))
+    busiest = min(matched_vertices, key=lambda v: (-hg.degree([v]), v))
     link, old_of_new = hg.link(busiest)
     inner = find_sunflower(link, a)
     if inner is None:
@@ -151,18 +154,18 @@ def decompose(hg: Hypergraph, a: int) -> SunflowerDecomposition:
     """
     if a < 1:
         raise ValueError(f"petal count must be >= 1, got {a}")
-    remaining = list(hg.edges)
+    remaining = hg.edge_array()
     flowers: list[Sunflower] = []
-    while remaining:
+    while len(remaining):
         found = find_sunflower(Hypergraph(hg.n, hg.u, remaining), a)
         if found is None:
             break
-        extracted = set(found.edges())
-        remaining = [e for e in remaining if e not in extracted]
+        extracted = np.array(found.edges())
+        remaining = remaining[~(remaining[:, None, :] == extracted).all(axis=2).any(axis=1)]
         flowers.append(found)
     return SunflowerDecomposition(
         sunflowers=tuple(flowers),
-        leftover=tuple(remaining),
+        leftover=tuple(map(tuple, remaining.tolist())),
         petal_count=a,
         uniformity=hg.u,
     )

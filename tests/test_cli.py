@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -66,6 +67,15 @@ class TestGenerate:
 
     def test_bad_family_params(self):
         assert main(["generate", "--family", "complete", "--n", "2", "--u", "3"]) == 2
+
+    def test_size_guard_refuses_before_building(self, capsys):
+        started = time.perf_counter()
+        assert main(["generate", "--family", "complete", "--n", "1000", "--u", "5"]) == 2
+        assert main(["generate", "--family", "grid", "--n", "100", "--r", "4"]) == 2
+        assert main(["generate", "--family", "grid", "--n", "3", "--r", "10000"]) == 2
+        assert time.perf_counter() - started < 5.0
+        assert "--force" in capsys.readouterr().err
+        assert main(["generate", "--family", "complete", "--n", "8", "--u", "3", "--force"]) == 0
 
 
 class TestColorAndVerify:
@@ -185,6 +195,7 @@ class TestBench:
         assert main(["bench", "--suite", "graphs-small", "--json", str(rec)]) == 0
         record = json.loads(rec.read_text())
         for row in record["outcome"]["rows"]:
+            assert isinstance(row["seconds"], float) and row["seconds"] >= 0
             assert row["colours"] == row["max_degree"] // (row["d"] + 1) + 1
             if row["max_degree"] >= 1:
                 assert row["ratio"] > 0
