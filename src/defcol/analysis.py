@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import Colouring, mono_counts, mono_degree
 from .generators import coords_to_index, grid, index_to_coords
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _runs
 
 __all__ = [
     "DefectReport",
@@ -102,32 +102,27 @@ def find_defective_colouring(
         raise ValueError(f"palette must have >= 1 colours, got {k}")
     if d < 0:
         raise ValueError(f"defect must be >= 0, got {d}")
-    if hg.n == 0:
-        return Colouring((), k)
 
-    edges_by_last: list[list[tuple[int, ...]]] = [[] for _ in range(hg.n)]
-    for e in hg.edges:
-        edges_by_last[e[-1]].append(e)
+    edges = hg.edge_array()
+    last = edges[:, -1]
+    # each edge under its largest vertex (the order inside a group does not matter)
+    edges_by_last = list(_runs(edges[np.argsort(last)].tolist(), np.bincount(last, minlength=hg.n)))
 
     colours = [-1] * hg.n
     mono = [0] * hg.n
 
-    def completes_ok(v: int, c: int) -> list[tuple[int, ...]] | None:
+    def shift(edges: list[list[int]], step: int) -> None:
+        for e in edges:
+            for w in e:
+                mono[w] += step
+
+    def completes_ok(v: int, c: int) -> list[list[int]] | None:
         """Commit newly monochromatic edges at v, or None on a violation."""
-        newly = [
-            e for e in edges_by_last[v]
-            if all(colours[w] == c for w in e[:-1])
-        ]
-        for e in newly:
-            for w in e:
-                mono[w] += 1
-        for e in newly:
-            for w in e:
-                if mono[w] > d:
-                    for e2 in newly:
-                        for w2 in e2:
-                            mono[w2] -= 1
-                    return None
+        newly = [e for e in edges_by_last[v] if all(colours[w] == c for w in e[:-1])]
+        shift(newly, 1)
+        if any(mono[w] > d for e in newly for w in e):
+            shift(newly, -1)
+            return None
         return newly
 
     def search(v: int, used: int) -> bool:
@@ -139,9 +134,7 @@ def find_defective_colouring(
             if newly is not None:
                 if search(v + 1, max(used, c + 1)):
                     return True
-                for e in newly:
-                    for w in e:
-                        mono[w] -= 1
+                shift(newly, -1)
             colours[v] = -1
         return False
 
@@ -303,9 +296,8 @@ def probe_mono_edge(hg: Hypergraph, k: int, trials: int, seed: int = 0) -> Probe
         raise ValueError("needs at least one edge")
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1 and trials >= 1")
-    e = hg.edges[0]
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, k, size=(trials, len(e)), dtype=np.int32)
+    draws = rng.integers(0, k, size=(trials, hg.u), dtype=np.int32)
     hits = (draws == draws[:, :1]).all(axis=1)
     return ProbeStats(trials, int(hits.sum()))
 
@@ -341,4 +333,4 @@ def probe_bad_vertex(
 def bad_vertex_ceiling(hg: Hypergraph, v: int, k: int, d: int) -> float:
     """Markov bound on P(mono degree of v >= d+1): deg(v) * k^(-r) / (d+1)."""
     r = hg.u - 1
-    return len(hg.incident(v)) * float(k) ** (-r) / (d + 1)
+    return hg.degree([v]) * float(k) ** (-r) / (d + 1)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _runs
 
 __all__ = [
     "MODES",
@@ -532,20 +532,17 @@ def greedy_proper(hg: Hypergraph) -> Colouring:
     last = edges[:, -1]
     # the other vertices of each edge, grouped by the edge's largest vertex
     # (the order inside a group does not matter)
-    heads = edges[np.argsort(last), :-1].tolist()
-    ends = np.cumsum(np.bincount(last, minlength=hg.n)).tolist()
+    groups = _runs(edges[np.argsort(last), :-1].tolist(), np.bincount(last, minlength=hg.n))
     out = [0] * hg.n
-    start = 0
-    for v, end in enumerate(ends):
+    for v, group in enumerate(groups):
         forbidden = set()
-        for others in heads[start:end]:
+        for others in group:
             shared = out[others[0]]
             for w in others:
                 if out[w] != shared:
                     break
             else:
                 forbidden.add(shared)
-        start = end
         c = 0
         while c in forbidden:
             c += 1

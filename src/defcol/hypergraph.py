@@ -2,16 +2,16 @@
 
 Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
 distinct vertices.  The edges are kept as one read-only int64 array with
-each row sorted; the tuple views (``edges``, ``incident``, the neighbour
-sets) are built from it on first use and cached.  The plain-text
-instance format used by the command line tools lives here too, next to
-the type it describes.
+each row sorted; the tuple views (``edges``, ``incident``, the
+co-members and the neighbour sets) are built from it on first use and
+cached.  The plain-text instance format used by the command line tools
+lives here too, next to the type it describes.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -71,6 +71,12 @@ def _first_fault(edges: Iterable[Iterable[int]], n: int, u: int) -> None:
         seen.add(e)
 
 
+def _runs(items: list, counts: np.ndarray) -> Iterator[list]:
+    """``items`` cut into consecutive runs of the given lengths, made one at a time."""
+    ends = np.cumsum(counts).tolist()
+    return (items[start:end] for start, end in zip([0] + ends[:-1], ends))
+
+
 class Hypergraph:
     """A ``u``-uniform hypergraph on ``n`` vertices.
 
@@ -79,8 +85,8 @@ class Hypergraph:
     order, is named in the ``ValueError``.  The edges are stored once, as
     the (m, u) array :meth:`edge_array` returns, with degrees counted at
     construction.  The tuple views (``edges``, :meth:`incident`,
-    :meth:`neighbour_sets`) are built on first use, so code that works
-    on the array never pays for them.
+    :meth:`co_members`, :meth:`neighbour_sets`) are built on first use,
+    so code that works on the array never pays for them.
 
     ``u >= 2`` is the usual case; ``u == 1`` is permitted so that links of
     2-uniform hypergraphs (whose edges shrink to singletons) remain
@@ -133,6 +139,7 @@ class Hypergraph:
         self._edge_tuples: tuple[VertexSet, ...] | None = None
         self._incidence: tuple[tuple[int, ...], ...] | None = None
         self._neighbour_sets: tuple[frozenset[int], ...] | None = None
+        self._co_members: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -162,10 +169,7 @@ class Hypergraph:
         if self._incidence is None:
             # a stable sort of the flattened rows lists each vertex's edges in index order
             ids = (np.argsort(self._edges.ravel(), kind="stable") // self.u).tolist()
-            ends = np.cumsum(self._degrees).tolist()
-            self._incidence = tuple(
-                tuple(ids[start:end]) for start, end in zip([0] + ends[:-1], ends)
-            )
+            self._incidence = tuple(map(tuple, _runs(ids, self._degrees)))
         return self._incidence[v]
 
     def degrees(self) -> list[int]:
@@ -188,23 +192,33 @@ class Hypergraph:
         rest = set(s)
         return sum(1 for idx in self.incident(pivot) if rest.issubset(self.edges[idx]))
 
+    def co_members(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex co-members with multiplicity, sorted: one entry per edge shared."""
+        if self._co_members is None:
+            others = (self._pair_codes() % self.n).tolist()
+            self._co_members = tuple(map(tuple, _runs(others, self._degrees * (self.u - 1))))
+        return self._co_members
+
     def neighbour_sets(self) -> tuple[frozenset[int], ...]:
         """Per-vertex sets of distinct neighbours (co-members of some edge)."""
         if self._neighbour_sets is None:
-            e, n = self._edges, self.n
-            # code a*n + b for each ordered pair of distinct co-members; n*n fits
-            # in int64 for any n whose degree array fits in memory (with no
-            # edges there are no pairs, however large u is)
-            pairs = permutations(range(self.u), 2) if self.m else ()
-            codes = np.concatenate([np.empty(0, np.int64)] + [e[:, i] * n + e[:, j] for i, j in pairs])
-            codes.sort()
+            codes = self._pair_codes()
             codes = codes[np.diff(codes, prepend=-1) != 0]
-            others = (codes % n).tolist()
-            ends = np.cumsum(np.bincount(codes // n, minlength=n)).tolist()
-            self._neighbour_sets = tuple(
-                frozenset(others[start:end]) for start, end in zip([0] + ends[:-1], ends)
-            )
+            counts = np.bincount(codes // self.n, minlength=self.n)
+            self._neighbour_sets = tuple(map(frozenset, _runs((codes % self.n).tolist(), counts)))
         return self._neighbour_sets
+
+    def _pair_codes(self) -> np.ndarray:
+        """Sorted codes a*n + b, one per edge and ordered pair (a, b) of its distinct members.
+
+        n*n fits in int64 for any n whose degree array fits in memory (with
+        no edges there are no pairs, however large u is).
+        """
+        e, n = self._edges, self.n
+        pairs = permutations(range(self.u), 2) if self.m else ()
+        codes = np.concatenate([np.empty(0, np.int64)] + [e[:, i] * n + e[:, j] for i, j in pairs])
+        codes.sort()
+        return codes
 
     # -- derived hypergraphs -----------------------------------------------
 
@@ -242,11 +256,7 @@ class Hypergraph:
 
     def is_linear(self) -> bool:
         """True when no two distinct edges share two or more vertices."""
-        e, n = self._edges, self.n
-        # each sorted row gives its pairs as codes a*n + b with a < b
-        pairs = combinations(range(self.u), 2) if self.m else ()
-        codes = np.concatenate([np.empty(0, np.int64)] + [e[:, i] * n + e[:, j] for i, j in pairs])
-        codes.sort()
+        codes = self._pair_codes()  # a code twice: one ordered pair in two edges
         return not (codes[1:] == codes[:-1]).any()
 
     # -- plumbing ------------------------------------------------------------

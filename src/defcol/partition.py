@@ -4,6 +4,9 @@ The search minimises the sum, over unordered same-part vertex pairs, of
 their codegree.  A locally optimal partition puts every vertex where its
 same-part codegree mass is smallest, which caps the number of incident
 edges that stay inside the vertex's own part at r*deg(x)/ell (r = u-1).
+A vertex's tally counts the parts of its co-members, one entry per
+shared edge (:meth:`Hypergraph.co_members`); only the checker
+:func:`within_part_incident_count` walks the tuple views.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
 
 from .hypergraph import Hypergraph
 
@@ -54,17 +60,16 @@ class MaxCutRun:
 def pair_objective(hg: Hypergraph, partition: Partition) -> int:
     """Codegree sum over unordered same-part pairs.
 
-    Computed edge by edge: an edge contributes one for every unordered
-    pair of its vertices that landed in the same part, which adds up to
-    exactly the same-part codegree sum.
+    Every edge contributes one for every unordered pair of its vertices
+    that landed in the same part, which adds up to exactly the same-part
+    codegree sum; the pairs are counted one column pair at a time.
     """
     if len(partition.parts) != hg.n:
         raise ValueError(f"partition covers {len(partition.parts)} vertices, hypergraph has {hg.n}")
-    total = 0
-    for e in hg.edges:
-        counts = Counter(partition.parts[v] for v in e)
-        total += sum(c * (c - 1) // 2 for c in counts.values())
-    return total
+    edge_parts = np.asarray(partition.parts)[hg.edge_array()]
+    return sum(
+        int((edge_parts[:, i] == edge_parts[:, j]).sum()) for i, j in combinations(range(hg.u), 2)
+    )
 
 
 def max_cut_search(hg: Hypergraph, num_parts: int, seed: int = 0) -> MaxCutRun:
@@ -82,16 +87,13 @@ def max_cut_search(hg: Hypergraph, num_parts: int, seed: int = 0) -> MaxCutRun:
     parts = [rng.randrange(num_parts) for _ in range(hg.n)]
     initial = pair_objective(hg, Partition(tuple(parts), num_parts))
 
+    co_members = hg.co_members()
     moves = 0
     improved = True
     while improved:
         improved = False
         for x in range(hg.n):
-            tally: Counter[int] = Counter()
-            for idx in hg.incident(x):
-                for y in hg.edges[idx]:
-                    if y != x:
-                        tally[parts[y]] += 1
+            tally = Counter([parts[y] for y in co_members[x]])
             current = tally[parts[x]]
             if current == 0:
                 continue  # already in a part contributing nothing
@@ -117,11 +119,8 @@ def _least_loaded_part(tally: Counter[int], num_parts: int) -> int:
     not mention every part the answer is the first unmentioned index.
     """
     if len(tally) < num_parts:
-        occupied = set(tally)
-        for i in range(num_parts):
-            if i not in occupied:
-                return i
-    return min(range(num_parts), key=lambda i: (tally[i], i))
+        return next(i for i in range(num_parts) if i not in tally)
+    return min(range(num_parts), key=tally.__getitem__)  # min keeps the first of equals
 
 
 def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> int:
@@ -136,4 +135,4 @@ def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> 
 
 def guarantee_bound(hg: Hypergraph, num_parts: int, x: int) -> float:
     """The per-vertex ceiling r*deg(x)/ell promised at local optima."""
-    return (hg.u - 1) * len(hg.incident(x)) / num_parts
+    return (hg.u - 1) * hg.degree([x]) / num_parts

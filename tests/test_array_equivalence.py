@@ -2,12 +2,14 @@
 
 Each reference below is a copy of the pure-Python code the array versions
 replaced: the per-line parser with its per-edge constructor, the greedy
-proper colouring that rescanned every incident edge, and the pair-counting
-linearity test.  They share no code with the package, so agreement on
+proper colouring that rescanned every incident edge, the pair-counting
+linearity test, the max cut search and pair objective that walked the
+incidence lists, and the exact oracle's edge-by-edge grouping.  They share no code with the package, so agreement on
 random inputs (valid ones, and ones corrupted on purpose) shows that what
 is accepted, what is built and every error message stayed the same.
 """
 
+import random
 import re
 from collections import Counter
 from itertools import combinations
@@ -17,7 +19,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcol import Hypergraph, InstanceFormatError, format_instance, greedy_proper, parse_instance
+from defcol import (
+    MODES,
+    EngineConfig,
+    Hypergraph,
+    InstanceFormatError,
+    Partition,
+    bad_vertex_ceiling,
+    complete,
+    decompose,
+    exact_defective_chromatic,
+    find_defective_colouring,
+    format_instance,
+    greedy_proper,
+    guarantee_bound,
+    max_cut_search,
+    pair_objective,
+    parse_instance,
+    probe_mono_edge,
+    random_bounded_degree,
+    random_linear,
+    run_engine,
+    verify,
+)
 from defcol.hypergraph import _read_array
 
 # -- references ------------------------------------------------------------------
@@ -130,6 +154,95 @@ def ref_neighbour_sets(n, edges):
     for v in range(n):
         sets[v].discard(v)
     return tuple(frozenset(s) for s in sets)
+
+
+def ref_pair_objective(edges, parts):
+    total = 0
+    for e in edges:
+        counts = Counter(parts[v] for v in e)
+        total += sum(c * (c - 1) // 2 for c in counts.values())
+    return total
+
+
+def ref_least_loaded_part(tally, num_parts):
+    if len(tally) < num_parts:
+        occupied = set(tally)
+        for i in range(num_parts):
+            if i not in occupied:
+                return i
+    return min(range(num_parts), key=lambda i: (tally[i], i))
+
+
+def ref_max_cut_search(n, edges, incidence, num_parts, seed):
+    """(parts, moves, initial objective, final objective) of the search over the incidence lists."""
+    rng = random.Random(seed)
+    parts = [rng.randrange(num_parts) for _ in range(n)]
+    initial = ref_pair_objective(edges, parts)
+    moves = 0
+    improved = True
+    while improved:
+        improved = False
+        for x in range(n):
+            tally = Counter()
+            for idx in incidence[x]:
+                for y in edges[idx]:
+                    if y != x:
+                        tally[parts[y]] += 1
+            current = tally[parts[x]]
+            if current == 0:
+                continue
+            target = ref_least_loaded_part(tally, num_parts)
+            if tally[target] < current:
+                parts[x] = target
+                moves += 1
+                improved = True
+    return tuple(parts), moves, initial, ref_pair_objective(edges, parts)
+
+
+def ref_co_members(n, edges):
+    members = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            members[v].extend(w for w in e if w != v)
+    return tuple(tuple(sorted(m)) for m in members)
+
+
+def ref_oracle(n, edges, d, k):
+    """The colours the backtracking oracle finds over its edge-by-edge grouping, or None."""
+    edges_by_last = [[] for _ in range(n)]
+    for e in edges:
+        edges_by_last[e[-1]].append(e)
+    colours = [-1] * n
+    mono = [0] * n
+
+    def completes_ok(v, c):
+        newly = [e for e in edges_by_last[v] if all(colours[w] == c for w in e[:-1])]
+        for e in newly:
+            for w in e:
+                mono[w] += 1
+        if any(mono[w] > d for e in newly for w in e):
+            for e in newly:
+                for w in e:
+                    mono[w] -= 1
+            return None
+        return newly
+
+    def search(v, used):
+        if v == n:
+            return True
+        for c in range(min(k, used + 1)):
+            colours[v] = c
+            newly = completes_ok(v, c)
+            if newly is not None:
+                if search(v + 1, max(used, c + 1)):
+                    return True
+                for e in newly:
+                    for w in e:
+                        mono[w] -= 1
+            colours[v] = -1
+        return False
+
+    return tuple(colours) if search(0, 0) else None
 
 
 def outcome(fn, *args):
@@ -351,3 +464,83 @@ def test_induced_and_link_match_relabelling_by_hand(case, data):
         assert link.edges == tuple(
             tuple(w - (w > v) for w in e if w != v) for e in hg.edges if v in e
         )
+
+
+@st.composite
+def shared_pair_edge_lists(draw):
+    """Valid (n, u, edges), and for u=3 often one more edge through two vertices of the first."""
+    n, u, edges = draw(edge_lists(valid=True))
+    if u == 3 and n > 3 and edges and draw(st.booleans()):
+        a, b = draw(st.permutations(edges[0]))[:2]
+        c = draw(st.sampled_from([w for w in range(n) if w not in edges[0]]))
+        if sorted((a, b, c)) not in map(sorted, edges):
+            edges.insert(draw(st.integers(0, len(edges))), [a, b, c])
+    return n, u, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_pair_edge_lists(), st.integers(1, 6), st.integers(0, 2**32))
+def test_max_cut_search_matches_the_incidence_walk(case, num_parts, seed):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    canon, incidence, _, _ = ref_build(n, u, edges)
+    assert hg.co_members() == ref_co_members(n, hg.edges)
+    run = max_cut_search(hg, num_parts, seed)
+    found = (run.partition.parts, run.moves, run.initial_objective, run.final_objective)
+    assert found == ref_max_cut_search(n, canon, incidence, num_parts, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_pair_edge_lists(), st.data())
+def test_pair_objective_matches_the_edge_walk(case, data):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    num_parts = data.draw(st.sampled_from([1, 2, 3, 6, 2**70]))  # past int64 too
+    parts = data.draw(st.lists(st.sampled_from([0, num_parts // 2, num_parts - 1]), min_size=n, max_size=n))
+    assert pair_objective(hg, Partition(tuple(parts), num_parts)) == ref_pair_objective(hg.edges, parts)
+
+
+def test_co_members_count_each_shared_edge():
+    hg = Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (3, 4, 0)])
+    assert hg.co_members() == ((1, 1, 2, 3, 3, 4), (0, 0, 2, 3), (0, 1), (0, 0, 1, 4), (0, 3))
+    assert hg.neighbour_sets() == tuple(map(frozenset, hg.co_members()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_pair_edge_lists().filter(lambda c: c[0] <= 9), st.integers(0, 2), st.integers(1, 4))
+def test_oracle_matches_the_edge_by_edge_grouping(case, d, k):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    found = find_defective_colouring(hg, d, k)
+    assert (None if found is None else found.colours) == ref_oracle(n, hg.edges, d, k)
+
+
+@pytest.fixture
+def no_tuple_views(monkeypatch):
+    """Make the ``edges`` and ``incident`` tuple views raise."""
+
+    def refuse(*args):
+        raise AssertionError("an algorithm walked a tuple view")
+
+    monkeypatch.setattr(Hypergraph, "edges", property(refuse))
+    monkeypatch.setattr(Hypergraph, "incident", refuse)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_algorithms_read_only_the_edge_array(mode, no_tuple_views):
+    """No engine mode, nor verify, builds the edges or incidence tuple views."""
+    hg = {
+        "graph-maxcut": random_bounded_degree(60, 2, 12, 200, seed=40),
+        "naive-lll": random_linear(24, 3, 6, 40, seed=41),
+    }.get(mode) or random_bounded_degree(40, 3, 25, 160, seed=1)
+    result = run_engine(hg, EngineConfig(mode=mode, defect=1, seed=7, budget=40))
+    assert verify(hg, result.colouring, 1).is_defective
+
+
+def test_decompose_oracle_and_bounds_read_only_the_edge_array(no_tuple_views):
+    sparse, small = random_bounded_degree(60, 3, 12, 200, seed=5), complete(6, 3)
+    assert decompose(sparse, 3).sunflowers and decompose(small, 3).sunflowers
+    assert exact_defective_chromatic(small, 1) == 2  # two triangles
+    assert probe_mono_edge(small, 2, 50).trials == 50
+    assert bad_vertex_ceiling(small, 0, 2, 1) == 10 * 2.0 ** -2 / 2
+    assert guarantee_bound(small, 3, 0) == 2 * 10 / 3

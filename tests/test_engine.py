@@ -172,6 +172,21 @@ def check_traces_tile_palette(colouring, traces):
         cursor += t.palette_size
 
 
+def check_nibble_residuals(hg, colouring, traces):
+    """Each nibble round's residual has the traced size and induces degree <= bound * 2^-(u-1).
+
+    Palettes tile in round order, so a round's residual is exactly the set
+    of vertices that got a colour past the end of its palette.
+    """
+    for t in traces:
+        if t.kind != "nibble":
+            continue
+        assert t.succeeded
+        residual = [v for v, c in enumerate(colouring.colours) if c >= t.palette_start + t.palette_size]
+        assert len(residual) == t.residual_size
+        assert hg.induced(residual)[0].max_degree <= t.degree_bound * 2.0 ** -(hg.u - 1)
+
+
 class TestNibbleColouring:
     def test_single_colour_endgame(self):
         hg = complete(4, 3)  # max degree 3
@@ -194,6 +209,7 @@ class TestNibbleColouring:
         assert colouring.is_total
         assert verify(hg, colouring, d).is_defective
         check_traces_tile_palette(colouring, traces)
+        check_nibble_residuals(hg, colouring, traces)
         assert all(t.probes >= 1 for t in traces)
 
     def test_validation(self):
@@ -211,6 +227,7 @@ class TestAdaptiveColouring:
         colouring, traces = adaptive_colouring(hg, d, seed=seed)
         assert verify(hg, colouring, d).is_defective
         check_traces_tile_palette(colouring, traces)
+        check_nibble_residuals(hg, colouring, traces)
 
     def test_small_instances_use_exact_endgames(self):
         colouring, traces = adaptive_colouring(complete(4, 3), 3)
@@ -304,6 +321,8 @@ def test_every_mode_returns_a_verified_colouring(data, mode, d, seed):
     assert verify(hg, result.colouring, d).is_defective
     if mode in ("theorem", "adaptive"):
         check_traces_tile_palette(result.colouring, result.traces)
+        check_nibble_residuals(hg, result.colouring, result.traces)
+
 
 
 class TestRunEngine:

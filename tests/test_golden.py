@@ -1,4 +1,4 @@
-"""Golden records: seeded ``color`` runs must reproduce frozen digests.
+"""Golden records: seeded ``color``, ``maxcut`` and ``sunflower`` runs must reproduce frozen digests.
 
 Each case writes a small seeded instance, runs ``defcol color`` on it
 through :func:`defcol.cli.main`, and hashes what a user gets back:
@@ -10,6 +10,11 @@ through :func:`defcol.cli.main`, and hashes what a user gets back:
 The digests were frozen from the engine before it was folded into a
 single round driver, so a refactor that changes the RNG stream, a
 palette, a probe count or a trace field fails here.
+
+The ``maxcut`` and ``sunflower`` digests cover the ``--json`` record
+(minus ``wall_clock_s`` and the path-valued params), then stdout, then
+``maxcut``'s ``--out`` partition file; they were frozen from the max cut
+search that walked the tuple views, before it read the edge array.
 
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
@@ -143,3 +148,60 @@ def test_color_matches_frozen_digests(case_id, tmp_path, monkeypatch, capsys):
         assert code == 0
         assert trace_digest(result) == TRACE_DIGESTS[case_id]
     assert record_digest == RECORD_DIGESTS[case_id]
+
+
+MAXCUT_CASES = {
+    # id: (instance, parts, seed)
+    "maxcut-graph": (("random", 50, 2, 12, 150, 0), 3, 1),
+    "maxcut-u3": (("random", 40, 3, 12, 120, 2), 4, 0),
+    "maxcut-u3-two-parts": (("random", 30, 3, 15, 110, 6), 2, 5),
+    "maxcut-complete-8-3": (("complete", 8, 3), 3, 2),
+}
+
+SUNFLOWER_CASES = {
+    # id: (instance, petals)
+    "sunflower-graph": (("random", 14, 2, 8, 50, 4), 2),
+    "sunflower-u3": (("random", 12, 3, 20, 70, 5), 3),
+    "sunflower-u3-sparse": (("random", 60, 3, 12, 200, 5), 3),
+    "sunflower-complete-8-3": (("complete", 8, 3), 3),
+}
+
+SUBCOMMAND_DIGESTS = {
+    "maxcut-complete-8-3": "2cb21479e0f2c486501aa0ff6705fc6801537714a508729f5e2de68c67d4eaf7",
+    "maxcut-graph": "26dd53f5c2a7656d3df58d3519a6deff01bf1daf2e8c15af46b6c04c1312bc2d",
+    "maxcut-u3": "53736484f5d82a07a7e0710e7adbc20fd4683d918b5dfba17e0e885e69690ee3",
+    "maxcut-u3-two-parts": "c7406fbff4863879213a3ba40331e6a7a4f949ac10573a50335237a2bfad6630",
+    "sunflower-complete-8-3": "9f93cade8fdd6a2db97347d586a0e45334935050ef83e69caf5c422e074d4595",
+    "sunflower-graph": "7dafbbecfa776a48eaa9beb583349fe519ba0fd6c425463c37f93717dc68e720",
+    "sunflower-u3": "2e2960e74c4989ae5712ecd64cf32b7280439f41ef15e1b6b97f7563c463b7a6",
+    "sunflower-u3-sparse": "973203aaa03414b5b34755a18cf6efb473756968db4f30af2fe3974a022fcb43",
+}
+
+
+def run_subcommand(spec, argv, tmp_path, capsys):
+    """Digest of the record, stdout and ``--out`` file of one ``defcol`` call on spec's instance."""
+    instance = tmp_path / "instance.txt"
+    instance.write_text(defcol.format_instance(build(spec)))
+    record_path, out = tmp_path / "record.json", tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main([argv[0], str(instance), *argv[1:], "--json", str(record_path)]) == 0
+    record = json.loads(record_path.read_text())
+    del record["wall_clock_s"], record["params"]["instance"]
+    record["params"].pop("out", None)
+    text = json.dumps(record, sort_keys=True) + "\n" + capsys.readouterr().out
+    text += out.read_text() if out.exists() else ""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def subcommand_argv(case_id, tmp_path):
+    if case_id in MAXCUT_CASES:
+        spec, parts, seed = MAXCUT_CASES[case_id]
+        return spec, ["maxcut", "--parts", str(parts), "--seed", str(seed), "--out", str(tmp_path / "out.txt")]
+    spec, petals = SUNFLOWER_CASES[case_id]
+    return spec, ["sunflower", "--petals", str(petals)]
+
+
+@pytest.mark.parametrize("case_id", sorted(MAXCUT_CASES) + sorted(SUNFLOWER_CASES))
+def test_maxcut_and_sunflower_match_frozen_digests(case_id, tmp_path, capsys):
+    spec, argv = subcommand_argv(case_id, tmp_path)
+    assert run_subcommand(spec, argv, tmp_path, capsys) == SUBCOMMAND_DIGESTS[case_id]
