@@ -46,7 +46,7 @@ from .hypergraph import Hypergraph, InstanceFormatError, format_instance, parse_
 from .partition import (
     guarantee_bound,
     max_cut_search,
-    within_part_incident_count,
+    within_part_incident_counts,
 )
 from .sunflowers import decompose, leftover_bound
 
@@ -212,10 +212,7 @@ def _cmd_maxcut(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     hg, digest = _load_instance(args.instance)
     run = max_cut_search(hg, args.parts, seed=args.seed)
-    worst = max(
-        (within_part_incident_count(hg, run.partition, x) for x in range(hg.n)),
-        default=0,
-    )
+    worst = int(within_part_incident_counts(hg, run.partition).max(initial=0))
     bound = max((guarantee_bound(hg, args.parts, x) for x in range(hg.n)), default=0.0)
     print(f"parts={args.parts} moves={run.moves}")
     print(f"pair objective: {run.initial_objective} -> {run.final_objective}")

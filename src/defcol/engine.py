@@ -18,9 +18,15 @@ how the degree bound moves (halving, or the residual's actual max degree)
 and in the palette step (the formula with doublings, or a search that
 doubles and then bisects).  One Moser-Tardos loop serves ``nibble_round``
 and ``naive-lll``: it redraws the cached variable support of the
-lowest-index violated vertex until none is left.  One vectorised kernel,
+lowest-index violated vertex until none is left.  It does so speculatively,
+in batches: while that support stays the same it draws a run of redraws at
+once, classifies them all in one kernel call, and keeps the rows the
+one-at-a-time loop would have reached; after a miss it restores the
+generator and draws the kept rows again, so colours, resample counts and the
+RNG stream are those of one redraw at a time.  One vectorised kernel,
 :func:`mono_counts`, counts monochromatic edges per vertex for the engine,
-:func:`classify` and ``analysis.verify``.
+:func:`classify` and ``analysis.verify``, on one colour vector or a (B, n)
+batch of rows.
 """
 
 from __future__ import annotations
@@ -167,24 +173,59 @@ def mono_degree(hg: Hypergraph, colouring: Colouring, v: int) -> int:
     return count
 
 
+def _slot_ids(edges: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Where each edge slot's vertex sits in a flattened (n,) or (B, n) array: (u, m) or (u, B*m).
+
+    Row b's vertex ids are offset by b * n, so one gather reads, and one
+    ``bincount`` counts, every row at once.
+    """
+    slots = edges.T
+    if len(shape) == 1:
+        return slots
+    return (slots[:, None, :] + (np.arange(shape[0]) * shape[1])[:, None]).reshape(len(slots), -1)
+
+
+def _every_slot(ids: np.ndarray, test: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per edge (and row), whether ``test`` holds at each of its u slots."""
+    out = test(ids[0])
+    for slot in ids[1:]:
+        out &= test(slot)
+    return out
+
+
+def _edge_counts(ids: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Per row and vertex, how many edges picked by ``mask`` contain it."""
+    picked = np.concatenate([slot[mask] for slot in ids])
+    return np.bincount(picked, minlength=math.prod(shape)).reshape(shape)
+
+
+def _mono_counts(ids: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    flat = colours.ravel()
+    first = flat[ids[0]]
+    return _edge_counts(ids, _every_slot(ids, lambda slot: flat[slot] == first), colours.shape)
+
+
 def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
-    """Per-vertex number of monochromatic edges under a total colour vector.
+    """Per-vertex number of monochromatic edges under total colour vectors.
 
     ``edges`` is an (m, u) vertex array such as :meth:`Hypergraph.edge_array`
-    and ``colours`` holds one label per vertex; only label equality matters.
+    and ``colours`` holds one label per vertex, as one (n,) vector or as
+    (B, n) rows; the counts have the same shape.  Only label equality
+    matters.
     """
-    ec = colours[edges]
-    mono = (ec == ec[:, :1]).all(axis=1)
-    return np.bincount(edges[mono].ravel(), minlength=n)
+    colours = colours.reshape(colours.shape[:-1] + (n,))
+    return _mono_counts(_slot_ids(edges, colours.shape), colours)
 
 
 def _classify_arrays(
     colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(bad mask, terrible mask) for a total colour vector."""
-    bad = mono_counts(edges, colours, n) >= d + 1
-    bad_count = np.bincount(edges[bad[edges].all(axis=1)].ravel(), minlength=n)
-    return bad, bad_count > threshold
+    """(bad mask, terrible mask) for an (n,) colour vector or for (B, n) rows."""
+    colours = colours.reshape(colours.shape[:-1] + (n,))
+    ids = _slot_ids(edges, colours.shape)
+    bad = _mono_counts(ids, colours) >= d + 1
+    all_bad = _every_slot(ids, bad.ravel().__getitem__)
+    return bad, _edge_counts(ids, all_bad, bad.shape) > threshold
 
 
 def classify(
@@ -227,17 +268,42 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
 # -- the resample loop -----------------------------------------------------------
 
 
+# Cap on B * max(m, n), the edge-rows (or vertex-rows, on instances with more
+# vertices than edges) one speculative batch holds.  Measured on the
+# adaptive-resample instances (m = 199-228, so about 36 rows): a pass of their
+# three adaptive calls took 3.2-3.3 s at 2^11, 2.1-2.6 s at 2^12, 2.4-2.5 s at
+# 2^13 and 2.8-3.1 s at 2^14; longer batches spill the (B, m) working arrays
+# out of cache and waste more rows at a miss.
+_BATCH_EDGE_ROWS = 2**13
+
+
 def _resample(
     hg: Hypergraph, k: int, seed: int, budget: int | None,
     violated: Callable[[np.ndarray], np.ndarray], support: Callable[[int], Sequence[int]],
 ) -> tuple[np.ndarray, int, bool]:
     """Moser-Tardos resampling shared by every round mode.
 
-    Draws a uniform k-colouring, then, while ``violated(colours)`` flags a
-    vertex, redraws ``support(v)`` of the lowest-index flagged vertex v
-    (each support is computed once and cached).  Stops on success, when
-    the budget (default :func:`default_budget`) is spent, or at once when
+    Draws a uniform k-colouring, then, while ``violated`` flags a vertex,
+    redraws ``support(v)`` of the lowest-index flagged vertex v (each
+    support is computed once and cached).  Stops on success, when the
+    budget (default :func:`default_budget`) is spent, or at once when
     k == 1: redrawing from a one-colour palette changes nothing.
+
+    The loop speculates that the target's support S stays the same.  It
+    draws the next B redraws of S in one ``rng.integers`` call of shape
+    (B, |S|), which yields the same values and leaves the generator in
+    the same state as B calls of size |S| (numpy takes bounded integers
+    from the bit stream one at a time and keeps a spare 32-bit half in the
+    generator state), and classifies all B rows in one ``violated`` call
+    on a (B, n) array.  Row i is kept while every earlier row flags a
+    vertex whose support is S; the first row that flags nothing, or whose
+    lowest flagged vertex has another support, is the last one kept
+    (supports are computed in that walk order, no further).  If rows were
+    dropped, the generator state saved before the batch is restored and
+    the kept draws are drawn again, so the colours, the resample count and
+    the RNG stream are exactly those of redrawing one support at a time.
+    B starts at 1, doubles after a batch kept whole and drops back to 1
+    after a miss; it never exceeds the budget left or the cap on B * max(m, n).
 
     Returns:
         (colour vector, resamples made, whether no vertex is flagged)
@@ -245,20 +311,41 @@ def _resample(
     if budget is None:
         budget = default_budget(hg.n)
     rng = np.random.default_rng(seed)
-    colours = rng.integers(0, k, size=hg.n, dtype=np.int64)
+    max_rows = max(1, _BATCH_EDGE_ROWS // max(hg.m, hg.n, 1))
     supports: dict[int, np.ndarray] = {}
-    resamples = 0
+    interned: dict[bytes, np.ndarray] = {}  # one array per distinct support, compared by identity
+
+    def support_of(v: int) -> np.ndarray:
+        if v not in supports:
+            s = np.asarray(support(v), dtype=np.int64)
+            supports[v] = interned.setdefault(s.tobytes(), s)
+        return supports[v]
+
+    rows = rng.integers(0, k, size=(1, hg.n), dtype=np.int64)
+    flags = violated(rows)
+    kept, resamples, batch = 1, 0, 1
     while True:
-        flagged = violated(colours)
+        colours, flagged = rows[kept - 1], flags[kept - 1]
         if not flagged.any():
             return colours, resamples, True
         if resamples >= budget or k == 1:
             return colours, resamples, False
-        target = int(np.argmax(flagged))
-        if target not in supports:
-            supports[target] = np.asarray(support(target), dtype=np.int64)
-        colours[supports[target]] = rng.integers(0, k, size=supports[target].shape[0])
-        resamples += 1
+        target = support_of(int(flagged.argmax()))
+        size = min(batch, budget - resamples, max_rows)
+        state = rng.bit_generator.state
+        rows = np.repeat(colours[None], size, axis=0)
+        rows[:, target] = rng.integers(0, k, size=(size, target.shape[0]))
+        flags = violated(rows)
+        hits, tops = flags[:-1].any(axis=1).tolist(), flags[:-1].argmax(axis=1).tolist()
+        misses = (i for i, top in enumerate(tops) if not hits[i] or support_of(top) is not target)
+        kept = next(misses, size - 1) + 1
+        if kept < size:
+            rng.bit_generator.state = state
+            rng.integers(0, k, size=(kept, target.shape[0]))
+            batch = 1
+        else:
+            batch *= 2
+        resamples += kept
 
 
 def nibble_round(

@@ -323,6 +323,8 @@ def _read_array(text: str) -> tuple[int, int, np.ndarray] | None:
     starts, ends = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
     if len(starts) < 3 or (ends - starts).max() > _MAX_TOKEN:
         return None
+    if (cls[ends - 1] == _SIGN).any():  # "+" or "1-": numpy reads a sign at the very end as 0
+        return None
     # tokens per line, from the tokens that start before each line break; a
     # "\r\n" pair adds an empty line, which is skipped like a blank one
     before_break = np.searchsorted(starts, np.flatnonzero(cls == _BREAK))

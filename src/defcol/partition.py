@@ -5,8 +5,11 @@ their codegree.  A locally optimal partition puts every vertex where its
 same-part codegree mass is smallest, which caps the number of incident
 edges that stay inside the vertex's own part at r*deg(x)/ell (r = u-1).
 A vertex's tally counts the parts of its co-members, one entry per
-shared edge (:meth:`Hypergraph.co_members`); only the checker
-:func:`within_part_incident_count` walks the tuple views.
+shared edge (:meth:`Hypergraph.co_members`).  The within-part incident
+counts the CLI reports come from the edge array
+(:func:`within_part_incident_counts`); only the per-vertex checker
+:func:`within_part_incident_count`, kept as their reference, walks the
+tuple views.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "pair_objective",
     "max_cut_search",
     "within_part_incident_count",
+    "within_part_incident_counts",
     "guarantee_bound",
 ]
 
@@ -131,6 +135,22 @@ def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> 
         if any(y != x and partition.parts[y] == p for y in hg.edges[idx]):
             count += 1
     return count
+
+
+def within_part_incident_counts(hg: Hypergraph, partition: Partition) -> np.ndarray:
+    """:func:`within_part_incident_count` of every vertex, from the edge array.
+
+    An edge counts for the vertex in one of its slots when another slot
+    holds a vertex of the same part.
+    """
+    edges = hg.edge_array()
+    edge_parts = np.asarray(partition.parts)[edges]
+    shared = np.zeros(edges.shape, dtype=bool)
+    for i, j in combinations(range(hg.u), 2):
+        same = edge_parts[:, i] == edge_parts[:, j]
+        shared[:, i] |= same
+        shared[:, j] |= same
+    return np.bincount(edges[shared], minlength=hg.n)
 
 
 def guarantee_bound(hg: Hypergraph, num_parts: int, x: int) -> float:

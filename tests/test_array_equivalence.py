@@ -4,9 +4,12 @@ Each reference below is a copy of the pure-Python code the array versions
 replaced: the per-line parser with its per-edge constructor, the greedy
 proper colouring that rescanned every incident edge, the pair-counting
 linearity test, the max cut search and pair objective that walked the
-incidence lists, and the exact oracle's edge-by-edge grouping.  They share no code with the package, so agreement on
-random inputs (valid ones, and ones corrupted on purpose) shows that what
-is accepted, what is built and every error message stayed the same.
+incidence lists, the exact oracle's edge-by-edge grouping, and the resample
+loop that redrew one support per classification.  They share no code with
+the package (the resample loop only its ``violated`` and ``support``
+callables), so agreement on random inputs (valid ones, and ones corrupted on
+purpose) shows that what is accepted, what is built, every error message and
+every seeded resample stayed the same.
 """
 
 import random
@@ -41,7 +44,10 @@ from defcol import (
     random_linear,
     run_engine,
     verify,
+    within_part_incident_count,
+    within_part_incident_counts,
 )
+from defcol.engine import _classify_arrays, _resample, closed_second_neighbourhood, mono_counts
 from defcol.hypergraph import _read_array
 
 # -- references ------------------------------------------------------------------
@@ -253,16 +259,35 @@ def outcome(fn, *args):
         return (type(exc), str(exc), getattr(exc, "line", None))
 
 
+def ref_resample(n, k, seed, budget, violated, support):
+    """The Moser-Tardos loop that redrew one support per ``violated`` call."""
+    rng = np.random.default_rng(seed)
+    colours = rng.integers(0, k, size=n, dtype=np.int64)
+    supports = {}
+    resamples = 0
+    while True:
+        flagged = violated(colours[None])[0]
+        if not flagged.any():
+            return colours, resamples, True
+        if resamples >= budget or k == 1:
+            return colours, resamples, False
+        target = int(np.argmax(flagged))
+        if target not in supports:
+            supports[target] = np.asarray(support(target), dtype=np.int64)
+        colours[supports[target]] = rng.integers(0, k, size=supports[target].shape[0])
+        resamples += 1
+
+
 # -- strategies -------------------------------------------------------------------
 
 
 @st.composite
-def edge_lists(draw, valid=False):
+def edge_lists(draw, valid=False, max_n=12, max_m=14):
     """(n, u, edges): distinct sorted u-sets in shuffled order, then maybe a fault."""
     u = draw(st.integers(1, 4))
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, max_n))
     pool = list(combinations(range(n), u))
-    edges = [list(e) for e in draw(st.lists(st.sampled_from(pool), unique=True, max_size=14))] if pool else []
+    edges = [list(e) for e in draw(st.lists(st.sampled_from(pool), unique=True, max_size=max_m))] if pool else []
     edges = [draw(st.permutations(e)) for e in edges]
     if valid:
         return n, u, edges
@@ -417,7 +442,7 @@ def test_reader_matches_the_line_parser_on_corrupted_text(text):
     "", "   \n", "# only a comment\n", "3 1\n0 1\n", "3 0 2\n", "3 1 2\n0 1\n0 2\n", "3 2 2\n0 1\n",
     "3 1 1\n0\n", "-3 1 2\n0 1\n", "3 1 2\n0 0\n", "3 1 2\n0 3\n", "3 2 2\n0 1\n1 0\n",
     "3 1 2\r0 1\r", "3 1 2\n0\x0c1\n", "3 1 2\n0 1 2\n", " 3 1 2 \n\n\t0\t1\t\n",
-    "5 0 999999999999999999\n",
+    "5 0 999999999999999999\n", "3 1 2\n1 +\n", "3 1 2\n1 -",
 ])
 def test_reader_edge_cases(text):
     assert outcome(parsed, text) == outcome(ref_parse, text)
@@ -500,6 +525,18 @@ def test_pair_objective_matches_the_edge_walk(case, data):
     assert pair_objective(hg, Partition(tuple(parts), num_parts)) == ref_pair_objective(hg.edges, parts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(shared_pair_edge_lists(), st.data())
+def test_within_part_incident_counts_match_the_per_vertex_checker(case, data):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    num_parts = data.draw(st.sampled_from([1, 2, 3, 6, 2**70]))  # past int64 too
+    parts = data.draw(st.lists(st.sampled_from([0, num_parts // 2, num_parts - 1]), min_size=n, max_size=n))
+    partition = Partition(tuple(parts), num_parts)
+    counts = within_part_incident_counts(hg, partition)
+    assert counts.tolist() == [within_part_incident_count(hg, partition, x) for x in range(n)]
+
+
 def test_co_members_count_each_shared_edge():
     hg = Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (3, 4, 0)])
     assert hg.co_members() == ((1, 1, 2, 3, 3, 4), (0, 0, 2, 3), (0, 1), (0, 0, 1, 4), (0, 3))
@@ -513,6 +550,57 @@ def test_oracle_matches_the_edge_by_edge_grouping(case, d, k):
     hg = Hypergraph(n, u, edges)
     found = find_defective_colouring(hg, d, k)
     assert (None if found is None else found.colours) == ref_oracle(n, hg.edges, d, k)
+
+
+@st.composite
+def bounded_degree_edge_lists(draw):
+    """(n, u, edges) of a sparse random instance: n = 10-30, u = 2-3, max degree 2-6."""
+    n, u, max_degree = draw(st.integers(10, 30)), draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    hg = random_bounded_degree(n, u, max_degree, n * max_degree // u, seed=draw(st.integers(0, 2**32)))
+    return n, u, [list(e) for e in hg.edges]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(edge_lists(valid=True, max_n=24, max_m=40), bounded_degree_edge_lists()),
+    st.sampled_from(["terrible", "mono-degree"]),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(1, 600),
+    st.sampled_from([None, 0.0, -1.0]),
+    st.integers(0, 2**32),
+)
+def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget, threshold, seed):
+    """Same colours, resample count and outcome as the serial loop, for both ``violated`` forms.
+
+    A threshold below zero flags every vertex, so the probe runs its whole
+    budget in ever longer batches; small sparse instances change the
+    target's support mid-probe and so cut batches short.
+    """
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    array = hg.edge_array()
+    if form == "terrible":
+        if threshold is None:
+            threshold = hg.max_degree * 2.0 ** -(u - 1)
+
+        def violated(rows):
+            return _classify_arrays(rows, array, n, d, threshold)[1]
+
+        def support(v):
+            return closed_second_neighbourhood(hg, v)
+    else:
+        nbr = hg.neighbour_sets()
+
+        def violated(rows):
+            return mono_counts(array, rows, n) > d
+
+        def support(v):
+            return sorted(nbr[v] | {v})
+
+    colours, resamples, succeeded = _resample(hg, k, seed, budget, violated, support)
+    expected = ref_resample(n, k, seed, budget, violated, support)
+    assert (colours.tolist(), resamples, succeeded) == (expected[0].tolist(), *expected[1:])
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Colouring engine: elementary operations, resampling rounds, full modes."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from defcol import (
     uniform_colouring,
     verify,
 )
-from defcol.engine import closed_second_neighbourhood
+from defcol.engine import _classify_arrays, closed_second_neighbourhood
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 
@@ -120,6 +120,35 @@ def test_mono_counts_kernel():
     assert mono_counts(TRIANGLE.edge_array(), np.zeros(3, dtype=np.int64), 3).tolist() == [2, 2, 2]
     empty = Hypergraph(4, 3, [])
     assert mono_counts(empty.edge_array(), np.zeros(4, dtype=np.int64), 4).tolist() == [0] * 4
+    # each row of a (B, n) call equals the (n,) call on it and the pure-Python counts
+    cases = [
+        (TRIANGLE, 2),
+        (empty, 2),
+        (Hypergraph(5, 1, [(0,), (3,)]), 2),
+        (Hypergraph(7, 4, [(0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 4, 6)]), 2),  # vertex 5 isolated
+        (random_bounded_degree(20, 3, 8, 50, seed=3), 2),
+        (random_bounded_degree(30, 2, 6, 70, seed=4), 3),
+        (complete(6, 3), 2**70),  # labels past int64
+    ]
+    for (hg, k), batch in product(cases, (1, 5)):
+        edges, n = hg.edge_array(), hg.n
+        threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
+        draws = np.random.default_rng(batch).integers(0, 3, size=(batch, n))
+        labels = [[int(c) * (k - 1) // 2 for c in row] for row in draws]
+        rows = np.array(labels, dtype=object if k > 2**62 else np.int64).reshape(batch, n)
+        counts = mono_counts(edges, rows, n)
+        bad, terrible = _classify_arrays(rows, edges, n, 0, threshold)
+        assert counts.shape == bad.shape == terrible.shape == (batch, n)
+        for b, colours in enumerate(labels):
+            colouring = Colouring(tuple(colours), k)
+            reference = [mono_degree(hg, colouring, v) for v in range(n)]
+            ref_bad = [c >= 1 for c in reference]
+            all_bad = [e for e in hg.edges if all(ref_bad[v] for v in e)]
+            ref_terrible = [sum(v in e for e in all_bad) > threshold for v in range(n)]
+            single_bad, single_terrible = _classify_arrays(rows[b], edges, n, 0, threshold)
+            assert counts[b].tolist() == mono_counts(edges, rows[b], n).tolist() == reference
+            assert bad[b].tolist() == single_bad.tolist() == ref_bad
+            assert terrible[b].tolist() == single_terrible.tolist() == ref_terrible
 
 
 def test_closed_second_neighbourhood_on_a_path():
