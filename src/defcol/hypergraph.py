@@ -100,8 +100,6 @@ class Hypergraph:
             raise ValueError(f"uniformity must be >= 1, got {u}")
         if max(n, u) >= _SIZE_LIMIT:
             raise ValueError(f"vertex count and uniformity must be below 2**60, got n={n}, u={u}")
-        self.n = n
-        self.u = u
 
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == u \
                 and edges.dtype.kind in "iu":
@@ -132,7 +130,23 @@ class Hypergraph:
             codes.sort()
             if (codes[1:] == codes[:-1]).any():
                 _first_fault(arr.tolist(), n, u)
+        self._store(n, u, arr)
+
+    @classmethod
+    def _trusted(cls, n: int, u: int, rows: np.ndarray) -> "Hypergraph":
+        """The hypergraph on int64 rows cut from a valid one and relabelled monotonically.
+
+        Such rows are still sorted, in range and distinct, so the sort and the
+        checks of the constructor are skipped (and ``__init__`` never runs).
+        """
+        hg = cls.__new__(cls)
+        hg._store(n, u, rows)
+        return hg
+
+    def _store(self, n: int, u: int, arr: np.ndarray) -> None:
         arr.flags.writeable = False
+        self.n = n
+        self.u = u
         self._edges = arr
         self._degrees = np.bincount(arr.ravel(), minlength=n)
         self._max_degree = int(self._degrees.max()) if n else 0
@@ -238,7 +252,7 @@ class Hypergraph:
         rows = self._edges[(self._edges == v).any(axis=1)]
         rest = rows[rows != v].reshape(-1, self.u - 1)
         old_of_new = [w for w in range(self.n) if w != v]
-        return Hypergraph(self.n - 1, self.u - 1, rest - (rest > v)), old_of_new
+        return Hypergraph._trusted(self.n - 1, self.u - 1, rest - (rest > v)), old_of_new
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", list[int]]:
         """Subhypergraph induced on a vertex subset, relabelled to 0..|W|-1.
@@ -252,7 +266,7 @@ class Hypergraph:
         new_of_old = np.full(self.n, -1, dtype=np.int64)
         new_of_old[np.asarray(old_of_new, dtype=np.int64)] = np.arange(len(old_of_new))
         sub = new_of_old[self._edges]
-        return Hypergraph(len(old_of_new), self.u, sub[(sub >= 0).all(axis=1)]), old_of_new
+        return Hypergraph._trusted(len(old_of_new), self.u, sub[(sub >= 0).all(axis=1)]), old_of_new
 
     def is_linear(self) -> bool:
         """True when no two distinct edges share two or more vertices."""

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, VertexSet, as_vertex_set
+from .hypergraph import Hypergraph, VertexSet, _runs, as_vertex_set
 
 __all__ = [
     "Sunflower",
@@ -34,6 +35,9 @@ class Sunflower:
     def __post_init__(self) -> None:
         if not self.petals:
             raise ValueError("a sunflower needs at least one petal")
+        for part in (self.core, *self.petals):
+            if not (isinstance(part, tuple) and all(v < w for v, w in zip(part, part[1:]))):
+                raise ValueError(f"core and petals must be strictly increasing tuples, got {part!r}")
         core = set(self.core)
         sizes = {len(p) for p in self.petals}
         if len(sizes) != 1 or 0 in sizes:
@@ -105,7 +109,67 @@ def as_sunflower(edges: Sequence[VertexSet]) -> Sunflower | None:
     return Sunflower(core=as_vertex_set(core), petals=tuple(petals))
 
 
-def find_sunflower(hg: Hypergraph, a: int) -> Sunflower | None:
+class _AliveRows:
+    """The alive rows of one edge array, in index order, with live vertex degrees.
+
+    :func:`decompose` keeps one over its input and drops the rows of each
+    sunflower it extracts.  :func:`find_sunflower` reads it in place of a
+    ``Hypergraph``: ``m``, :meth:`degree` and :meth:`link` answer as the
+    ``Hypergraph`` of the alive rows would, and :meth:`alive_rows` is its
+    scan.  A row is alive while its skip entry is the row itself; a dropped
+    row's entry is a later row, so following skips (halving the path on the
+    way) finds the next alive row and no scan walks a run of dropped rows
+    twice.
+    """
+
+    def __init__(self, hg: Hypergraph):
+        self.n, self.u = hg.n, hg.u
+        self._array = hg.edge_array()
+        self.rows: list[VertexSet] = list(map(tuple, self._array.tolist()))
+        self.m = len(self.rows)  # alive rows
+        self._degrees = hg.degrees()  # over the alive rows
+        self._skip = list(range(self.m + 1))  # the last entry stands for the end
+
+    def alive_rows(self) -> Iterator[VertexSet]:
+        i = self._next_alive(0)
+        while i < len(self.rows):
+            yield self.rows[i]
+            i = self._next_alive(i + 1)
+
+    def _next_alive(self, i: int) -> int:
+        skip = self._skip
+        while skip[i] != i:
+            skip[i] = skip[skip[i]]
+            i = skip[i]
+        return i
+
+    def degree(self, vertices: Iterable[int]) -> int:
+        """The number of alive rows through the one vertex given."""
+        (v,) = vertices
+        return self._degrees[v]
+
+    def drop(self, indices: Iterable[int]) -> None:
+        """Drop alive rows by index and lower their vertices' degrees."""
+        for i in indices:
+            self._skip[i] = i + 1
+            self.m -= 1
+            for w in self.rows[i]:
+                self._degrees[w] -= 1
+
+    @cached_property
+    def _incidence(self) -> list[list[int]]:
+        """Each vertex's rows in index order, from one stable argsort; made on the first link."""
+        flat = self._array.ravel()
+        ids = (np.argsort(flat, kind="stable") // self.u).tolist()
+        return list(_runs(ids, np.bincount(flat, minlength=self.n)))
+
+    def link(self, v: int) -> tuple[Hypergraph, list[int]]:
+        """``Hypergraph.link(v)`` of the alive rows, cut from only the alive rows through ``v``."""
+        through = [i for i in self._incidence[v] if self._skip[i] == i]
+        return Hypergraph._trusted(self.n, self.u, self._array[through]).link(v)
+
+
+def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:
     """Search for a sunflower with exactly ``a`` petals.
 
     Classical constructive argument: greedily build a maximal matching by
@@ -118,6 +182,13 @@ def find_sunflower(hg: Hypergraph, a: int) -> Sunflower | None:
 
     Ties for the busiest vertex go to the smallest index, which keeps the
     whole search deterministic.
+
+    ``hg`` is a ``Hypergraph`` or the private alive-rows view that
+    :func:`decompose` keeps.  A search costs the rows its scan walks and,
+    when the matching stays short, one link and the same search on it.  A
+    view cuts the link from the O(deg v) alive rows through the busiest
+    vertex v (plus O(n) for the link's relabelling); a ``Hypergraph``
+    masks all its rows.
     """
     if a < 1:
         raise ValueError(f"petal count must be >= 1, got {a}")
@@ -126,8 +197,8 @@ def find_sunflower(hg: Hypergraph, a: int) -> Sunflower | None:
 
     matched_edges: list[VertexSet] = []
     matched_vertices: set[int] = set()
-    for row in hg.edge_array():  # row by row: the scan usually stops after a few edges
-        e = tuple(row.tolist())
+    rows = hg.alive_rows() if isinstance(hg, _AliveRows) else (tuple(r.tolist()) for r in hg.edge_array())
+    for e in rows:  # the scan usually stops after a few edges
         if matched_vertices.isdisjoint(e):
             matched_edges.append(e)
             matched_vertices.update(e)
@@ -151,21 +222,27 @@ def decompose(hg: Hypergraph, a: int) -> SunflowerDecomposition:
     so the collection is edge-disjoint by construction and maximal for
     this (deterministic) extraction order.  The leftover always fits
     under u! * (a-1)^u edges.
+
+    One alive-rows view of the input serves every search, so no
+    ``Hypergraph`` is rebuilt for an extraction.  Beyond its search (see
+    :func:`find_sunflower`), an extraction costs O(a*u): its a rows are
+    found through a row -> index map made once, dropped, and their
+    vertices' live degrees lowered.
     """
     if a < 1:
         raise ValueError(f"petal count must be >= 1, got {a}")
-    remaining = hg.edge_array()
+    alive = _AliveRows(hg)
+    index_of = {row: i for i, row in enumerate(alive.rows)}
     flowers: list[Sunflower] = []
-    while len(remaining):
-        found = find_sunflower(Hypergraph(hg.n, hg.u, remaining), a)
+    while alive.m:
+        found = find_sunflower(alive, a)
         if found is None:
             break
-        extracted = np.array(found.edges())
-        remaining = remaining[~(remaining[:, None, :] == extracted).all(axis=2).any(axis=1)]
+        alive.drop(index_of[e] for e in found.edges())
         flowers.append(found)
     return SunflowerDecomposition(
         sunflowers=tuple(flowers),
-        leftover=tuple(map(tuple, remaining.tolist())),
+        leftover=tuple(alive.alive_rows()),
         petal_count=a,
         uniformity=hg.u,
     )

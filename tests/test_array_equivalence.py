@@ -4,12 +4,15 @@ Each reference below is a copy of the pure-Python code the array versions
 replaced: the per-line parser with its per-edge constructor, the greedy
 proper colouring that rescanned every incident edge, the pair-counting
 linearity test, the max cut search and pair objective that walked the
-incidence lists, the exact oracle's edge-by-edge grouping, and the resample
-loop that redrew one support per classification.  They share no code with
-the package (the resample loop only its ``violated`` and ``support``
-callables), so agreement on random inputs (valid ones, and ones corrupted on
-purpose) shows that what is accepted, what is built, every error message and
-every seeded resample stayed the same.
+incidence lists, the exact oracle's edge-by-edge grouping, the resample
+loop that redrew one support per classification, and the sunflower
+decomposition that searched a freshly built Hypergraph of the remaining
+edges for every extraction.  They share no code with the package (the
+resample loop only its ``violated`` and ``support`` callables, the
+decomposition only ``find_sunflower`` on a fresh Hypergraph), so agreement
+on random inputs (valid ones, and ones corrupted on purpose) shows that
+what is accepted, what is built, every error message, every seeded
+resample and every extracted sunflower stayed the same.
 """
 
 import random
@@ -33,6 +36,7 @@ from defcol import (
     decompose,
     exact_defective_chromatic,
     find_defective_colouring,
+    find_sunflower,
     format_instance,
     greedy_proper,
     guarantee_bound,
@@ -276,6 +280,20 @@ def ref_resample(n, k, seed, budget, violated, support):
             supports[target] = np.asarray(support(target), dtype=np.int64)
         colours[supports[target]] = rng.integers(0, k, size=supports[target].shape[0])
         resamples += 1
+
+
+def ref_decompose(hg, a):
+    """(sunflowers, leftover) of the loop that built and validated a Hypergraph per extraction."""
+    remaining = hg.edge_array()
+    flowers = []
+    while len(remaining):
+        found = find_sunflower(Hypergraph(hg.n, hg.u, remaining), a)
+        if found is None:
+            break
+        extracted = np.array(found.edges())
+        remaining = remaining[~(remaining[:, None, :] == extracted).all(axis=2).any(axis=1)]
+        flowers.append(found)
+    return tuple(flowers), tuple(map(tuple, remaining.tolist()))
 
 
 # -- strategies -------------------------------------------------------------------
@@ -550,6 +568,102 @@ def test_oracle_matches_the_edge_by_edge_grouping(case, d, k):
     hg = Hypergraph(n, u, edges)
     found = find_defective_colouring(hg, d, k)
     assert (None if found is None else found.colours) == ref_oracle(n, hg.edges, d, k)
+
+
+@st.composite
+def dense_edge_lists(draw):
+    """(n, u, edges): at least half of all u-sets of at most 9 vertices, in shuffled or index order.
+
+    Few vertices hold few disjoint edges, so the searches pivot on a busy
+    vertex and recurse into its link, often twice.
+    """
+    u = draw(st.integers(2, 4))
+    n = draw(st.integers(u, 9 if u == 3 else 7))
+    pool = list(combinations(range(n), u))
+    if draw(st.booleans()):
+        pool = draw(st.permutations(pool))
+    return n, u, [list(e) for e in pool[: draw(st.integers(len(pool) // 2, len(pool)))]]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(edge_lists(valid=True), shared_pair_edge_lists(), dense_edge_lists()), st.integers(1, 4))
+def test_decompose_matches_a_fresh_search_per_extraction(case, a):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    result = decompose(hg, a)
+    assert (result.sunflowers, result.leftover) == ref_decompose(hg, a)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_decompose_of_complete_3_uniform_matches_a_fresh_search(n):
+    hg = complete(n, 3)  # n < 9 has no three disjoint edges, n < 7 none in a link either
+    for a in range(1, 5):
+        result = decompose(hg, a)
+        assert (result.sunflowers, result.leftover) == ref_decompose(hg, a)
+
+
+def assert_same_build(trusted):
+    """``trusted`` equals the hypergraph the validating constructor builds on its rows."""
+    twin = Hypergraph(trusted.n, trusted.u, np.array(trusted.edge_array()))
+    assert (trusted.n, trusted.u) == (twin.n, twin.u)
+    assert trusted.edge_array().dtype == twin.edge_array().dtype == np.int64
+    assert trusted.edge_array().shape == twin.edge_array().shape
+    assert trusted.edge_array().tolist() == twin.edge_array().tolist()
+    assert trusted.degrees() == twin.degrees()
+    assert trusted.max_degree == twin.max_degree
+    assert not trusted.edge_array().flags.writeable and not twin.edge_array().flags.writeable
+
+
+def check_trusted_links_and_induced(hg, keep, v):
+    assert_same_build(hg.induced(keep)[0])
+    if v is not None:
+        assert_same_build(hg.link(v)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(valid=True), st.data())
+def test_links_and_induced_match_the_validating_constructor(case, data):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    keep = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    v = data.draw(st.integers(0, n - 1)) if n and u >= 2 else None
+    check_trusted_links_and_induced(hg, keep, v)
+
+
+@pytest.mark.parametrize("n, u, edges, keep, v", [
+    (4, 2, [], [0, 2], 1),  # no edges
+    (5, 2, [(0, 1), (1, 4), (2, 3)], [1, 4], 1),  # a 2-uniform link is 1-uniform
+    (5, 3, [(0, 1, 2), (2, 3, 4)], [], 2),  # empty vertex subset
+    (3, 3, [(0, 1, 2)], [0, 1, 2], 0),
+])
+def test_links_and_induced_match_the_validating_constructor_at_the_edges(n, u, edges, keep, v):
+    check_trusted_links_and_induced(Hypergraph(n, u, edges), keep, v)
+
+
+def test_decompose_builds_no_hypergraph(monkeypatch):
+    """decompose searches one view of its input: ``Hypergraph.__init__`` never runs.
+
+    The sparse instance needs no link; the complete one links, and its
+    links are cut from rows that are already valid.
+    """
+    sparse, dense = random_bounded_degree(300, 3, 12, 1000, seed=1), complete(8, 3)
+    inits, links = [], []
+    real_init, real_link = Hypergraph.__init__, Hypergraph.link
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_link(self, v):
+        links.append(v)
+        return real_link(self, v)
+
+    monkeypatch.setattr(Hypergraph, "__init__", counting_init)
+    monkeypatch.setattr(Hypergraph, "link", counting_link)
+    assert decompose(sparse, 3).sunflowers
+    assert (inits, links) == ([], [])
+    assert decompose(dense, 3).sunflowers
+    assert links and inits == []
 
 
 @st.composite

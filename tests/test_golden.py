@@ -16,7 +16,10 @@ redrew one support per classification, before it classified batches.
 The ``maxcut`` and ``sunflower`` digests cover the ``--json`` record
 (minus ``wall_clock_s`` and the path-valued params), then stdout, then
 ``maxcut``'s ``--out`` partition file; they were frozen from the max cut
-search that walked the tuple views, before it read the edge array.
+search that walked the tuple views, before it read the edge array.  The
+two larger ``sunflower`` cases (m=1000 and K_12^(3)) were frozen from the
+decomposition that rebuilt a Hypergraph per extraction, before it kept
+one view of the alive rows.
 
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
@@ -175,6 +178,8 @@ SUNFLOWER_CASES = {
     "sunflower-u3": (("random", 12, 3, 20, 70, 5), 3),
     "sunflower-u3-sparse": (("random", 60, 3, 12, 200, 5), 3),
     "sunflower-complete-8-3": (("complete", 8, 3), 3),
+    "sunflower-u3-m1000": (("random", 300, 3, 12, 1000, 1), 3),
+    "sunflower-complete-12-3": (("complete", 12, 3), 3),  # 15 links once the 3-matchings run out
 }
 
 SUBCOMMAND_DIGESTS = {
@@ -183,9 +188,11 @@ SUBCOMMAND_DIGESTS = {
     "maxcut-u3": "53736484f5d82a07a7e0710e7adbc20fd4683d918b5dfba17e0e885e69690ee3",
     "maxcut-u3-two-parts": "c7406fbff4863879213a3ba40331e6a7a4f949ac10573a50335237a2bfad6630",
     "sunflower-complete-8-3": "9f93cade8fdd6a2db97347d586a0e45334935050ef83e69caf5c422e074d4595",
+    "sunflower-complete-12-3": "2178c0e367dcb9a26f25b6ad5883d3ea9d956c496c0a62b0243b56cf6dbaa3ea",
     "sunflower-graph": "7dafbbecfa776a48eaa9beb583349fe519ba0fd6c425463c37f93717dc68e720",
     "sunflower-u3": "2e2960e74c4989ae5712ecd64cf32b7280439f41ef15e1b6b97f7563c463b7a6",
     "sunflower-u3-sparse": "973203aaa03414b5b34755a18cf6efb473756968db4f30af2fe3974a022fcb43",
+    "sunflower-u3-m1000": "e05102bdfc6cbaa0539f14d1c2bf29d5ca96345b878473873a7f95466125435c",
 }
 
 

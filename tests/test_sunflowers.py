@@ -33,6 +33,15 @@ class TestSunflowerType:
         with pytest.raises(ValueError):
             Sunflower(core=(), petals=((0, 1), (1, 2)))
 
+    @pytest.mark.parametrize("core, petals", [
+        ((3, 3), ((1,), (2,))),  # a repeated core vertex
+        ((), ((1, 1), (2, 3))),  # a repeated petal vertex
+        ((), ((2, 1), (3, 4))),  # an unsorted petal
+    ])
+    def test_rejects_a_part_that_is_not_a_vertex_set(self, core, petals):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Sunflower(core=core, petals=petals)
+
     def test_edges_reconstruct(self):
         sf = Sunflower(core=(5,), petals=((1, 2), (3, 4)))
         assert sf.edges() == ((1, 2, 5), (3, 4, 5))
