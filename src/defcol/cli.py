@@ -52,7 +52,7 @@ from .sunflowers import decompose, leftover_bound
 
 __all__ = ["main", "entry"]
 
-# Largest vertex or edge count `generate --family complete|grid` builds without --force.
+# Largest vertex or edge count `generate` builds without --force.
 GENERATE_GUARD = 2_000_000
 
 
@@ -139,18 +139,22 @@ def _write_assignment(path: str, colouring: Colouring) -> None:
 
 
 def _past_generate_guard(args: argparse.Namespace) -> bool:
-    """Whether complete or grid flags ask for more than GENERATE_GUARD vertices or edges.
+    """Whether the flags ask for more than GENERATE_GUARD vertices or edges.
 
     complete has n vertices and C(n, u) edges; grid has n^r vertices and
     (n(n-1)/2)^r edges.  Capping the choice and the exponent at 64 keeps
     the check instant without changing its answer, since either count is
-    then past 2^64.  Flags the generator rejects anyway pass through.
+    then past 2^64.  random and linear keep a table of n degrees and draw
+    up to 10 * edges candidates, so n and --edges are checked.  Flags the
+    generator rejects anyway pass through.
     """
     n, u, r = args.n, args.u, args.r
     if args.family == "complete" and 2 <= u <= n:
         return max(n, math.comb(n, min(u, n - u, 64))) > GENERATE_GUARD
     if args.family == "grid" and n >= 2 and r >= 1:
         return max(n, n * (n - 1) // 2) ** min(r, 64) > GENERATE_GUARD
+    if args.family in ("random", "linear"):
+        return max(n, args.edges) > GENERATE_GUARD
     return False
 
 

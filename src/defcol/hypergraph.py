@@ -426,6 +426,5 @@ def format_instance(hg: Hypergraph) -> str:
     """Serialise a Hypergraph in the plain-text instance format."""
     if hg.u < 2:
         raise ValueError("text format requires uniformity >= 2")
-    out = [f"{hg.n} {hg.m} {hg.u}"]
-    out.extend(" ".join(map(str, e)) for e in hg.edge_array().tolist())
-    return "\n".join(out) + "\n"
+    row = "%d " * (hg.u - 1) + "%d\n"
+    return f"{hg.n} {hg.m} {hg.u}\n" + (row * hg.m) % tuple(hg.edge_array().ravel().tolist())

@@ -5,14 +5,17 @@ replaced: the per-line parser with its per-edge constructor, the greedy
 proper colouring that rescanned every incident edge, the pair-counting
 linearity test, the max cut search and pair objective that walked the
 incidence lists, the exact oracle's edge-by-edge grouping, the resample
-loop that redrew one support per classification, and the sunflower
+loop that redrew one support per classification, the sunflower
 decomposition that searched a freshly built Hypergraph of the remaining
-edges for every extraction.  They share no code with the package (the
-resample loop only its ``violated`` and ``support`` callables, the
-decomposition only ``find_sunflower`` on a fresh Hypergraph), so agreement
-on random inputs (valid ones, and ones corrupted on purpose) shows that
-what is accepted, what is built, every error message, every seeded
-resample and every extracted sunflower stayed the same.
+edges for every extraction, the instance writer that joined each row on
+its own, and (in ``helpers``) the rejection sampler that called
+``random.sample`` once per candidate edge.  They share no code with the
+package (the resample loop only its ``violated`` and ``support``
+callables, the decomposition only ``find_sunflower`` on a fresh
+Hypergraph), so agreement on random inputs (valid ones, and ones
+corrupted on purpose) shows that what is accepted, what is built, every
+error message, every seeded resample, every extracted sunflower and every
+generated instance stayed the same.
 """
 
 import random
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import reference_rejection_sample
 
 from defcol import (
     MODES,
@@ -51,6 +55,7 @@ from defcol import (
     within_part_incident_count,
     within_part_incident_counts,
 )
+from defcol import generators
 from defcol.engine import _classify_arrays, _resample, closed_second_neighbourhood, mono_counts
 from defcol.hypergraph import _read_array
 
@@ -746,3 +751,130 @@ def test_decompose_oracle_and_bounds_read_only_the_edge_array(no_tuple_views):
     assert probe_mono_edge(small, 2, 50).trials == 50
     assert bad_vertex_ceiling(small, 0, 2, 1) == 10 * 2.0 ** -2 / 2
     assert guarantee_bound(small, 3, 0) == 2 * 10 / 3
+
+
+# -- instance generation -----------------------------------------------------
+
+
+def ref_format(hg):
+    out = [f"{hg.n} {hg.m} {hg.u}"]
+    out.extend(" ".join(map(str, e)) for e in hg.edge_array().tolist())
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 30), st.sampled_from([10, 2 * 10**6]), st.data())
+def test_format_instance_matches_the_per_row_join(u, m, scale, data):
+    """Labels past 10^6, u = 2-5 and m = 0 write the same text as joining each row."""
+    n = scale + u
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=u, max_size=u, unique=True),
+                              max_size=m, unique_by=lambda row: tuple(sorted(row))))
+    hg = Hypergraph(n, u, rows)
+    assert format_instance(hg) == ref_format(hg)
+
+
+POWERS_OF_TWO = [2**k + d for k in range(3, 21) for d in (-1, 0, 1)]
+
+
+@st.composite
+def sampler_params(draw):
+    """(n, u, max_degree, target_m, seed, linear) across both branches of ``random.sample``.
+
+    ``sample`` draws from a pool when n <= 21 (n <= 85 for u = 6-7) and from
+    a set of taken values above that; n = 2^k and 2^k + 1 reject up to half
+    the draws of ``_randbelow``, n = 2^k - 1 almost none.
+    """
+    u = draw(st.integers(2, 7))
+    n = draw(st.one_of(
+        st.integers(u, 24),
+        st.integers(max(u, 60), 110),
+        st.integers(u, 300),
+        st.sampled_from(POWERS_OF_TWO),
+    ))
+    max_degree = draw(st.integers(0, 10))
+    target_m = draw(st.integers(0, 40))
+    seed = draw(st.one_of(st.integers(-2**40, 2**40), st.integers(2**64, 2**80), st.integers(-2**80, -2**64)))
+    return n, u, max_degree, target_m, seed, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_params(), st.sampled_from([1, 2, 7, generators._CHUNK_ROWS]))
+def test_random_families_match_the_pure_python_sampler(params, chunk):
+    """Same edges in the same order as one ``random.sample`` and one check per attempt.
+
+    Chunks of 1, 2 and 7 candidates put a chunk boundary at every place a
+    clash between candidates can fall.  Targets the cap makes unreachable
+    (max degree 0, or n * max_degree < u * target_m) run the whole budget.
+    """
+    n, u, max_degree, target_m, seed, linear = params
+    make = random_linear if linear else random_bounded_degree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "_CHUNK_ROWS", chunk)
+        hg = make(n, u, max_degree, target_m, seed=seed)
+    assert hg.edges == tuple(reference_rejection_sample(n, u, max_degree, target_m, seed, linear))
+
+
+@pytest.mark.parametrize("n, u, max_degree, target_m, linear", [
+    (300, 3, 4, 400, False),  # the cap stops it short: every chunk settles clashing rows
+    (40, 2, 6, 300, False),  # dense graph: edges repeat within and across chunks
+    (200, 3, 8, 600, True),  # pairs clash within chunks
+    (90, 6, 3, 45, True),  # u = 6 just above the pool branch
+])
+def test_random_families_match_the_reference_at_full_chunks(n, u, max_degree, target_m, linear):
+    make = random_linear if linear else random_bounded_degree
+    assert make(n, u, max_degree, target_m, seed=3).edges \
+        == tuple(reference_rejection_sample(n, u, max_degree, target_m, 3, linear))
+
+
+@pytest.mark.parametrize("n", [7, 2**40])
+def test_row_keys_are_equal_exactly_when_the_rows_are(n):
+    """Base-n codes below 2^63 and row bytes past it: equal keys, equal rows, on both."""
+    rows = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 2], [n - 3, n - 2, n - 1], [0, 2, 1]], dtype=np.int64)
+    keys = generators._keys(rows, n)
+    assert [[a == b for b in keys.tolist()] for a in keys.tolist()] \
+        == [[a == b for b in rows.tolist()] for a in rows.tolist()]
+    assert generators._repeated(keys).tolist() == [True, False, True, False, False]
+
+
+def test_candidates_are_drawn_in_bounded_chunks(monkeypatch):
+    """No chunk asks for more than ``_CHUNK_ROWS`` candidates, however large the budget."""
+    sizes = []
+    take = generators._Samples.take
+
+    def recording_take(self, count):
+        sizes.append(count)
+        return take(self, count)
+
+    monkeypatch.setattr(generators, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(generators._Samples, "take", recording_take)
+    assert random_bounded_degree(500, 3, 4, 1000, seed=1).m < 1000  # the cap leaves room for 666
+    assert max(sizes) == 64
+    assert sum(sizes) == 10 * 1000
+
+
+# The canaries: the replay is only right while this interpreter's ``random``
+# draws as described in ``generators``; if it ever stops, these fail first.
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(-2**80, 2**80), st.just(0)))
+def test_replayed_words_are_getrandbits_32(seed):
+    rng = random.Random(seed)
+    words = generators._replay(random.Random(seed)).random_raw(1500).tolist()
+    assert words == [rng.getrandbits(32) for _ in range(1500)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda u: st.tuples(
+    st.just(u),
+    st.one_of(st.integers(u, 120), st.sampled_from(POWERS_OF_TWO), st.integers(2**31, 2**32 + 5)),
+    st.integers(-2**70, 2**70),
+    st.integers(0, 300),
+)))
+def test_replayed_candidates_are_random_sample(case):
+    """Rows in the order ``sample`` returns them, on both branches and past 2^32 (two words a draw)."""
+    u, n, seed, count = case
+    rng = random.Random(seed)
+    samples = generators._Samples(n, u, seed)
+    got = [row for size in (count // 3, count - count // 3) for row in samples.take(size).tolist()]
+    assert got == [rng.sample(range(n), u) for _ in range(count)]

@@ -77,6 +77,21 @@ class TestGenerate:
         assert "--force" in capsys.readouterr().err
         assert main(["generate", "--family", "complete", "--n", "8", "--u", "3", "--force"]) == 0
 
+    @pytest.mark.parametrize("family", ["random", "linear"])
+    def test_size_guard_covers_the_random_families(self, family, capsys):
+        """n or --edges past the guard refuse with exit 2 before the n-long degree table exists."""
+        guard = defcol.cli.GENERATE_GUARD
+        flags = ["generate", "--family", family, "--u", "2"]
+        assert main(flags + ["--n", str(guard + 1), "--edges", "1"]) == 2
+        # reachable in about 2.1·10^6 attempts, so a missing edge guard fails in seconds
+        assert main(flags + ["--n", str(guard // 2), "--max-degree", "10", "--edges", str(guard + 1)]) == 2
+        assert main(flags + ["--n", str(10**10), "--edges", "1"]) == 2  # used to raise MemoryError
+        assert main(flags + ["--n", str(guard + 1)]) == 2  # --edges defaults to 2n
+        assert "--force" in capsys.readouterr().err
+        assert main(flags + ["--n", str(guard + 1), "--edges", "1", "--force"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"{guard + 1} 1 2"
+        assert main(flags + ["--n", str(guard), "--edges", "1"]) == 0
+
 
 class TestColorAndVerify:
     def test_five_cycle_maxcut(self, c5, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Golden records: seeded ``color``, ``maxcut`` and ``sunflower`` runs must reproduce frozen digests.
+"""Golden records: seeded ``color``, ``maxcut``, ``sunflower`` and ``generate`` runs must reproduce frozen digests.
 
 Each case writes a small seeded instance, runs ``defcol color`` on it
 through :func:`defcol.cli.main`, and hashes what a user gets back:
@@ -20,6 +20,11 @@ search that walked the tuple views, before it read the edge array.  The
 two larger ``sunflower`` cases (m=1000 and K_12^(3)) were frozen from the
 decomposition that rebuilt a Hypergraph per extraction, before it kept
 one view of the alive rows.
+
+The ``generate`` digests cover the instance text ``defcol generate`` writes
+to stdout, and the stdout of an ``--out`` run followed by the file; they
+were frozen from the sampler that called ``random.sample`` once per
+candidate edge in pure Python, before it replayed the stream in numpy.
 
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
@@ -223,3 +228,55 @@ def subcommand_argv(case_id, tmp_path):
 def test_maxcut_and_sunflower_match_frozen_digests(case_id, tmp_path, capsys):
     spec, argv = subcommand_argv(case_id, tmp_path)
     assert run_subcommand(spec, argv, tmp_path, capsys) == SUBCOMMAND_DIGESTS[case_id]
+
+
+GENERATE_CASES = {
+    # id: (family, n, u, max_degree, edges, seed).  They draw 10^5, 29205, 15474 and
+    # 10^5 candidate edges, of which the degree cap rejects 89555, 17205, 5474 and
+    # 90131, so acceptance crosses many chunks and settles many clashing rows
+    "generate-random-u2": ("random", 2000, 2, 10, 10_000, 3),
+    "generate-random-u3": ("random", 5000, 3, 8, 12_000, 7),
+    "generate-random-u4": ("random", 4000, 4, 12, 10_000, -5),
+    "generate-linear-u3": ("linear", 3000, 3, 10, 10_000, 11),
+}
+
+GENERATE_DIGESTS = {
+    # case id: (stdout digest, digest of the `--out` run's stdout then file)
+    "generate-linear-u3": (
+        "e5cf5e7080614e79730dc3e40ec5d25b5ddf8aa5afc150623b68b32ce80943f1",
+        "3ddf4f63656d91d99d920f4a0d92e26fa194a99174850ff05fc5f5137378dbc5",
+    ),
+    "generate-random-u2": (
+        "ca3f7c4b2844ddffcc2b456c88e164174bba297a2074fa5ee3d5d2cb7c2f9492",
+        "f8e3cc29ee25542d50c18f2a80b67ee5485c88c9ad0bd37c0f722fb928b3203f",
+    ),
+    "generate-random-u3": (
+        "8dabba5f1d542b2cbaa1424bfebe986e59fee6538ca5b9baa470f57c3eae4791",
+        "f88231f9b45b16a09dd2859cba74987c395a9b830182a5a1fc679012f8fcb2d0",
+    ),
+    "generate-random-u4": (
+        "e121b018f3bce31f68af0f10de67f3227582779a56341519d6f5351549fb945d",
+        "9b06a428f3c2e27e93f841014c57413421eab8d9c002ccb8f2aa2c90354931f1",
+    ),
+}
+
+
+def generate_argv(case_id):
+    family, n, u, max_degree, edges, seed = GENERATE_CASES[case_id]
+    return ["generate", "--family", family, "--n", str(n), "--u", str(u), "--max-degree",
+            str(max_degree), "--edges", str(edges), "--seed", str(seed)]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case_id", sorted(GENERATE_CASES))
+def test_generate_matches_frozen_digests(case_id, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(generate_argv(case_id)) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "instance.txt"
+    assert main(generate_argv(case_id) + ["--out", str(out)]) == 0
+    written = capsys.readouterr().out.replace(str(out), "OUT") + out.read_text()
+    assert (sha256(stdout), sha256(written)) == GENERATE_DIGESTS[case_id]
