@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, mono_counts, mono_degree
+from .engine import Colouring, mono_counts
 from .generators import coords_to_index, grid, index_to_coords
 from .hypergraph import Hypergraph, _runs
 
@@ -262,7 +262,7 @@ def grid_defect_witness(
     return GridWitness(
         vertex=vertex,
         coords=pick,
-        mono_degree=mono_degree(hg, colouring, vertex),
+        mono_degree=int(mono_counts(hg.edge_array(), np.asarray(colouring.colours), hg.n)[vertex]),
         class_size=class_size,
         survivor_size=len(survivors),
     )
@@ -315,15 +315,14 @@ def probe_bad_vertex(
         raise ValueError(f"vertex {v} outside 0..{hg.n - 1}")
     if k < 1 or trials < 1 or d < 0:
         raise ValueError("need k >= 1, trials >= 1 and d >= 0")
-    incident = hg.incident(v)
-    support = sorted(set(hg.neighbour_sets()[v]) | {v})
-    column = {w: i for i, w in enumerate(support)}
+    edges = hg.edge_array()
+    through = edges[(edges == v).any(axis=1)]
+    support = np.union1d(through, [v])  # sorted, and {v} alone when v is isolated
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=(trials, len(support)), dtype=np.int32)
     mono_count = np.zeros(trials, dtype=np.int64)
-    for idx in incident:
-        cols = [column[w] for w in hg.edges[idx]]
+    for cols in np.searchsorted(support, through):
         sub = draws[:, cols]
         mono_count += (sub == sub[:, :1]).all(axis=1)
     hits = mono_count >= d + 1

@@ -49,7 +49,6 @@ __all__ = [
     "BudgetExhaustedError",
     "default_budget",
     "uniform_colouring",
-    "mono_degree",
     "mono_counts",
     "classify",
     "closed_second_neighbourhood",
@@ -152,25 +151,6 @@ def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=hg.n)
     return Colouring(tuple(int(c) for c in draws), k)
-
-
-def mono_degree(hg: Hypergraph, colouring: Colouring, v: int) -> int:
-    """Number of edges through v whose vertices all share v's colour.
-
-    Edges with any uncoloured vertex never count.
-
-    Raises:
-        ValueError: if v itself is uncoloured.
-    """
-    cols = colouring.colours
-    cv = cols[v]
-    if cv is None:
-        raise ValueError(f"vertex {v} is uncoloured")
-    count = 0
-    for idx in hg.incident(v):
-        if all(cols[w] == cv for w in hg.edges[idx]):
-            count += 1
-    return count
 
 
 def _slot_ids(edges: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -162,6 +162,8 @@ def _rejection_sample(
     outright.  Of the rest, a row that meets no other of them on a vertex
     with too little room, on its edge or on a pair is accepted whatever the
     others do; only the rows that do are settled one by one, in order.
+    Once fewer than ``u`` vertices have room, every later candidate would be
+    rejected, so the draws stop there.
     """
     if u < 2:
         raise ValueError(f"uniformity must be >= 2, got {u}")
@@ -178,7 +180,7 @@ def _rejection_sample(
     accepted: list[np.ndarray] = []
     samples = _Samples(n, u, seed)
     attempts = found = size = 0
-    while found < target_m and attempts < 10 * target_m:
+    while found < target_m and attempts < 10 * target_m and (degrees < max_degree).sum() >= u:
         # a chunk asks for the edges still missing, and doubles while that is not enough
         size = min(max(2 * size, target_m - found), _CHUNK_ROWS, 10 * target_m - attempts)
         attempts += size

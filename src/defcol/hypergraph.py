@@ -2,10 +2,10 @@
 
 Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
 distinct vertices.  The edges are kept as one read-only int64 array with
-each row sorted; the tuple views (``edges``, ``incident``, the
-co-members and the neighbour sets) are built from it on first use and
-cached.  The plain-text instance format used by the command line tools
-lives here too, next to the type it describes.
+each row sorted, and every query is answered from it; only the per-vertex
+co-members and neighbour sets are built from it, on first use, and cached.
+The plain-text instance format used by the command line tools lives here
+too, next to the type it describes.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ class Hypergraph:
     duplicate edges are rejected; the first offending edge, in input
     order, is named in the ``ValueError``.  The edges are stored once, as
     the (m, u) array :meth:`edge_array` returns, with degrees counted at
-    construction.  The tuple views (``edges``, :meth:`incident`,
-    :meth:`co_members`, :meth:`neighbour_sets`) are built on first use,
-    so code that works on the array never pays for them.
+    construction.  :meth:`co_members` and :meth:`neighbour_sets` are built
+    on first use, so code that works on the array never pays for them.
 
     ``u >= 2`` is the usual case; ``u == 1`` is permitted so that links of
     2-uniform hypergraphs (whose edges shrink to singletons) remain
@@ -150,8 +149,6 @@ class Hypergraph:
         self._edges = arr
         self._degrees = np.bincount(arr.ravel(), minlength=n)
         self._max_degree = int(self._degrees.max()) if n else 0
-        self._edge_tuples: tuple[VertexSet, ...] | None = None
-        self._incidence: tuple[tuple[int, ...], ...] | None = None
         self._neighbour_sets: tuple[frozenset[int], ...] | None = None
         self._co_members: tuple[tuple[int, ...], ...] | None = None
 
@@ -166,25 +163,9 @@ class Hypergraph:
     def max_degree(self) -> int:
         return self._max_degree
 
-    @property
-    def edges(self) -> tuple[VertexSet, ...]:
-        """The edges as sorted vertex tuples, in input order, built on first use."""
-        if self._edge_tuples is None:
-            self._edge_tuples = tuple(map(tuple, self._edges.tolist()))
-        return self._edge_tuples
-
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, u) int64 array, each row sorted."""
         return self._edges
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        """Indices (into ``edges``) of the edges containing vertex ``v``, increasing."""
-        self._check_vertex(v)
-        if self._incidence is None:
-            # a stable sort of the flattened rows lists each vertex's edges in index order
-            ids = (np.argsort(self._edges.ravel(), kind="stable") // self.u).tolist()
-            self._incidence = tuple(map(tuple, _runs(ids, self._degrees)))
-        return self._incidence[v]
 
     def degrees(self) -> list[int]:
         return self._degrees.tolist()
@@ -201,10 +182,8 @@ class Hypergraph:
             return self.m
         if len(s) == 1:
             return int(self._degrees[s[0]])
-        # Scan the shortest incidence list among the members.
-        pivot = min(s, key=lambda v: self._degrees[v])
-        rest = set(s)
-        return sum(1 for idx in self.incident(pivot) if rest.issubset(self.edges[idx]))
+        # a row's vertices are distinct, so it holds all of s when len(s) of its slots lie in s
+        return int((np.isin(self._edges, s).sum(axis=1) == len(s)).sum())
 
     def co_members(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex co-members with multiplicity, sorted: one entry per edge shared."""
@@ -282,11 +261,12 @@ class Hypergraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.u == other.u
-            and sorted(self.edges) == sorted(other.edges)
-        )
+        if (self.n, self.u, self.m) != (other.n, other.u, other.m):
+            return False
+        # distinct rows in lexicographic order list an edge set one way only (and
+        # with no rows nothing is sorted, however many columns there are)
+        rows = (e[np.lexsort(e.T[::-1])] for e in (self._edges, other._edges))
+        return not self.m or np.array_equal(*rows)
 
     __hash__ = None  # mutable-ish container semantics; compare by value only
 

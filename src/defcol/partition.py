@@ -6,10 +6,9 @@ same-part codegree mass is smallest, which caps the number of incident
 edges that stay inside the vertex's own part at r*deg(x)/ell (r = u-1).
 A vertex's tally counts the parts of its co-members, one entry per
 shared edge (:meth:`Hypergraph.co_members`).  The within-part incident
-counts the CLI reports come from the edge array
-(:func:`within_part_incident_counts`); only the per-vertex checker
-:func:`within_part_incident_count`, kept as their reference, walks the
-tuple views.
+counts the CLI reports, the edges through each vertex that hold another
+vertex of its part, come from the edge array as well
+(:func:`within_part_incident_counts`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "MaxCutRun",
     "pair_objective",
     "max_cut_search",
-    "within_part_incident_count",
     "within_part_incident_counts",
     "guarantee_bound",
 ]
@@ -127,18 +125,8 @@ def _least_loaded_part(tally: Counter[int], num_parts: int) -> int:
     return min(range(num_parts), key=tally.__getitem__)  # min keeps the first of equals
 
 
-def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> int:
-    """Edges containing x together with at least one same-part vertex."""
-    p = partition.parts[x]
-    count = 0
-    for idx in hg.incident(x):
-        if any(y != x and partition.parts[y] == p for y in hg.edges[idx]):
-            count += 1
-    return count
-
-
 def within_part_incident_counts(hg: Hypergraph, partition: Partition) -> np.ndarray:
-    """:func:`within_part_incident_count` of every vertex, from the edge array.
+    """Per vertex, the edges containing it together with at least one same-part vertex.
 
     An edge counts for the vertex in one of its slots when another slot
     holds a vertex of the same part.

@@ -1,8 +1,13 @@
-"""Shared test utilities: an independent exhaustive oracle, tiny ensembles, a reference sampler.
+"""Shared test utilities: tuple views and per-vertex references, an exhaustive oracle, tiny ensembles.
 
-The oracle here deliberately shares no code with the package: it tries
-every assignment of every palette size by brute force, so agreement with
-the package's backtracking oracle is meaningful evidence.  The reference
+The hypergraph keeps its edges only as an array; ``edge_tuples`` and
+``incident`` rebuild the tuple views it once carried, and the per-vertex
+references below walk them as the package's own code did before it
+answered from the array: ``mono_degree``, ``within_part_incident_count``,
+``ref_degree``, ``ref_equal`` and ``ref_probe_bad_vertex``.  The oracle
+here deliberately shares no code with the package: it tries every
+assignment of every palette size by brute force, so agreement with the
+package's backtracking oracle is meaningful evidence.  The reference
 sampler is the pure-Python rejection loop the random generators replaced.
 """
 
@@ -11,15 +16,99 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from defcol import Hypergraph
+import numpy as np
+
+from defcol import Colouring, Hypergraph, Partition, ProbeStats
+
+
+def edge_tuples(hg: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The edges as sorted vertex tuples, in row order."""
+    return tuple(map(tuple, hg.edge_array().tolist()))
+
+
+def incident(hg: Hypergraph, v: int) -> tuple[int, ...]:
+    """Indices (into ``edge_tuples``) of the edges containing vertex ``v``, increasing."""
+    return tuple(idx for idx, e in enumerate(edge_tuples(hg)) if v in e)
+
+
+def mono_degree(hg: Hypergraph, colouring: Colouring, v: int) -> int:
+    """Number of edges through v whose vertices all share v's colour.
+
+    Edges with any uncoloured vertex never count.
+
+    Raises:
+        ValueError: if v itself is uncoloured.
+    """
+    cols = colouring.colours
+    cv = cols[v]
+    if cv is None:
+        raise ValueError(f"vertex {v} is uncoloured")
+    edges = edge_tuples(hg)
+    count = 0
+    for idx in incident(hg, v):
+        if all(cols[w] == cv for w in edges[idx]):
+            count += 1
+    return count
+
+
+def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> int:
+    """Edges containing x together with at least one same-part vertex."""
+    p = partition.parts[x]
+    edges = edge_tuples(hg)
+    count = 0
+    for idx in incident(hg, x):
+        if any(y != x and partition.parts[y] == p for y in edges[idx]):
+            count += 1
+    return count
+
+
+def ref_degree(hg: Hypergraph, vertices) -> int:
+    """Edges containing every given vertex, from the shortest incidence list among them."""
+    s = tuple(sorted(set(vertices)))
+    for v in s:
+        if not (0 <= v < hg.n):
+            raise ValueError(f"vertex {v} outside 0..{hg.n - 1}")
+    if not s:
+        return hg.m
+    degrees = hg.degrees()
+    if len(s) == 1:
+        return degrees[s[0]]
+    pivot = min(s, key=lambda v: degrees[v])
+    rest = set(s)
+    edges = edge_tuples(hg)
+    return sum(1 for idx in incident(hg, pivot) if rest.issubset(edges[idx]))
+
+
+def ref_equal(a: Hypergraph, b: Hypergraph) -> bool:
+    """Same n, same u and the same sorted list of edge tuples."""
+    return a.n == b.n and a.u == b.u and sorted(edge_tuples(a)) == sorted(edge_tuples(b))
+
+
+def ref_probe_bad_vertex(hg: Hypergraph, k: int, d: int, v: int, trials: int, seed: int = 0) -> ProbeStats:
+    """The bad-vertex probe that drew v's closed neighbourhood and walked its incidence list."""
+    edges = edge_tuples(hg)
+    through = incident(hg, v)
+    support = sorted({w for idx in through for w in edges[idx]} | {v})
+    column = {w: i for i, w in enumerate(support)}
+
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, k, size=(trials, len(support)), dtype=np.int32)
+    mono_count = np.zeros(trials, dtype=np.int64)
+    for idx in through:
+        cols = [column[w] for w in edges[idx]]
+        sub = draws[:, cols]
+        mono_count += (sub == sub[:, :1]).all(axis=1)
+    hits = mono_count >= d + 1
+    return ProbeStats(trials, int(hits.sum()))
 
 
 def brute_force_feasible(hg: Hypergraph, d: int, k: int) -> bool:
     """Whether some k-colouring keeps every mono degree at most d."""
+    edges = edge_tuples(hg)
     for assign in product(range(k), repeat=hg.n):
         mono = [0] * hg.n
         ok = True
-        for e in hg.edges:
+        for e in edges:
             if len({assign[v] for v in e}) == 1:
                 for v in e:
                     mono[v] += 1

@@ -21,12 +21,11 @@ from defcol import (
     grid,
     grid_defect_witness,
     index_to_coords,
-    mono_degree,
     probe_bad_vertex,
     probe_mono_edge,
     verify,
 )
-from helpers import brute_force_min_colours, cycle_graph, tiny_instances
+from helpers import brute_force_min_colours, cycle_graph, mono_degree, tiny_instances
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 

@@ -9,13 +9,14 @@ loop that redrew one support per classification, the sunflower
 decomposition that searched a freshly built Hypergraph of the remaining
 edges for every extraction, the instance writer that joined each row on
 its own, and (in ``helpers``) the rejection sampler that called
-``random.sample`` once per candidate edge.  They share no code with the
-package (the resample loop only its ``violated`` and ``support``
-callables, the decomposition only ``find_sunflower`` on a fresh
-Hypergraph), so agreement on random inputs (valid ones, and ones
-corrupted on purpose) shows that what is accepted, what is built, every
-error message, every seeded resample, every extracted sunflower and every
-generated instance stayed the same.
+``random.sample`` once per candidate edge and the set degree, equality,
+bad-vertex probe and per-vertex mono degree that walked the edge tuples
+and incidence lists.  They share no code with the package (the resample
+loop only its ``violated`` and ``support`` callables, the decomposition
+only ``find_sunflower`` on a fresh Hypergraph), so agreement on random
+inputs (valid ones, and ones corrupted on purpose) shows that what is
+accepted, what is built, every error message, every seeded resample,
+every extracted sunflower and every generated instance stayed the same.
 """
 
 import random
@@ -27,10 +28,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import reference_rejection_sample
+from helpers import (
+    edge_tuples,
+    incident,
+    mono_degree,
+    ref_degree,
+    ref_equal,
+    ref_probe_bad_vertex,
+    reference_rejection_sample,
+    within_part_incident_count,
+)
 
 from defcol import (
     MODES,
+    Colouring,
     EngineConfig,
     Hypergraph,
     InstanceFormatError,
@@ -43,16 +54,18 @@ from defcol import (
     find_sunflower,
     format_instance,
     greedy_proper,
+    grid,
+    grid_defect_witness,
     guarantee_bound,
     max_cut_search,
     pair_objective,
     parse_instance,
+    probe_bad_vertex,
     probe_mono_edge,
     random_bounded_degree,
     random_linear,
     run_engine,
     verify,
-    within_part_incident_count,
     within_part_incident_counts,
 )
 from defcol import generators
@@ -334,8 +347,7 @@ def edge_lists(draw, valid=False, max_n=12, max_m=14):
 
 def hypergraph_outcome(n, u, edges):
     hg = Hypergraph(n, u, edges)
-    assert hg.edge_array().tolist() == [list(e) for e in hg.edges]
-    return hg.edges, tuple(hg.incident(v) for v in range(n)), hg.degrees(), hg.max_degree
+    return edge_tuples(hg), tuple(incident(hg, v) for v in range(n)), hg.degrees(), hg.max_degree
 
 
 # -- the constructor ----------------------------------------------------------------
@@ -401,7 +413,7 @@ def instance_texts(draw):
 
 def parsed(text):
     hg = parse_instance(text)
-    return hg.n, hg.u, hg.edges
+    return hg.n, hg.u, edge_tuples(hg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,13 +516,14 @@ def test_induced_and_link_match_relabelling_by_hand(case, data):
     sub, old = hg.induced(keep)
     new_of_old = {w: i for i, w in enumerate(keep)}
     assert old == keep
-    assert sub.edges == tuple(tuple(new_of_old[w] for w in e) for e in hg.edges if set(e) <= set(keep))
+    edges = edge_tuples(hg)
+    assert edge_tuples(sub) == tuple(tuple(new_of_old[w] for w in e) for e in edges if set(e) <= set(keep))
     if n and u >= 2:
         v = data.draw(st.integers(0, n - 1))
         link, old = hg.link(v)
         assert old == [w for w in range(n) if w != v]
-        assert link.edges == tuple(
-            tuple(w - (w > v) for w in e if w != v) for e in hg.edges if v in e
+        assert edge_tuples(link) == tuple(
+            tuple(w - (w > v) for w in e if w != v) for e in edges if v in e
         )
 
 
@@ -532,7 +545,7 @@ def test_max_cut_search_matches_the_incidence_walk(case, num_parts, seed):
     n, u, edges = case
     hg = Hypergraph(n, u, edges)
     canon, incidence, _, _ = ref_build(n, u, edges)
-    assert hg.co_members() == ref_co_members(n, hg.edges)
+    assert hg.co_members() == ref_co_members(n, edge_tuples(hg))
     run = max_cut_search(hg, num_parts, seed)
     found = (run.partition.parts, run.moves, run.initial_objective, run.final_objective)
     assert found == ref_max_cut_search(n, canon, incidence, num_parts, seed)
@@ -545,7 +558,8 @@ def test_pair_objective_matches_the_edge_walk(case, data):
     hg = Hypergraph(n, u, edges)
     num_parts = data.draw(st.sampled_from([1, 2, 3, 6, 2**70]))  # past int64 too
     parts = data.draw(st.lists(st.sampled_from([0, num_parts // 2, num_parts - 1]), min_size=n, max_size=n))
-    assert pair_objective(hg, Partition(tuple(parts), num_parts)) == ref_pair_objective(hg.edges, parts)
+    partition = Partition(tuple(parts), num_parts)
+    assert pair_objective(hg, partition) == ref_pair_objective(edge_tuples(hg), parts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -572,7 +586,7 @@ def test_oracle_matches_the_edge_by_edge_grouping(case, d, k):
     n, u, edges = case
     hg = Hypergraph(n, u, edges)
     found = find_defective_colouring(hg, d, k)
-    assert (None if found is None else found.colours) == ref_oracle(n, hg.edges, d, k)
+    assert (None if found is None else found.colours) == ref_oracle(n, edge_tuples(hg), d, k)
 
 
 @st.composite
@@ -676,7 +690,7 @@ def bounded_degree_edge_lists(draw):
     """(n, u, edges) of a sparse random instance: n = 10-30, u = 2-3, max degree 2-6."""
     n, u, max_degree = draw(st.integers(10, 30)), draw(st.integers(2, 3)), draw(st.integers(2, 6))
     hg = random_bounded_degree(n, u, max_degree, n * max_degree // u, seed=draw(st.integers(0, 2**32)))
-    return n, u, [list(e) for e in hg.edges]
+    return n, u, hg.edge_array().tolist()
 
 
 @settings(max_examples=120, deadline=None)
@@ -722,20 +736,101 @@ def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget,
     assert (colours.tolist(), resamples, succeeded) == (expected[0].tolist(), *expected[1:])
 
 
-@pytest.fixture
-def no_tuple_views(monkeypatch):
-    """Make the ``edges`` and ``incident`` tuple views raise."""
+# -- degree, equality, the bad-vertex probe and the grid witness ---------------------
 
-    def refuse(*args):
-        raise AssertionError("an algorithm walked a tuple view")
 
-    monkeypatch.setattr(Hypergraph, "edges", property(refuse))
-    monkeypatch.setattr(Hypergraph, "incident", refuse)
+@st.composite
+def vertex_sets(draw, n, u, edges):
+    """0 to u+1 vertices (-1 to n): often part of an edge, often also some that share no edge with it."""
+    base = list(draw(st.sampled_from(edges))) if edges and draw(st.booleans()) else []
+    base = base[: draw(st.integers(0, len(base)))]
+    extra = draw(st.lists(st.integers(-1, n), max_size=u + 1 - len(base))) if n else []
+    return draw(st.permutations(base + extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(edge_lists(valid=True), bounded_degree_edge_lists()), st.data())
+def test_degree_matches_the_shortest_incidence_walk(case, data):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    s = data.draw(vertex_sets(n, u, edges))
+    assert outcome(hg.degree, s) == outcome(ref_degree, hg, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(valid=True), st.data())
+def test_equality_matches_the_sorted_edge_tuples(case, data):
+    """Rows permuted, one edge changed or dropped, another n or u, and m = 0 and u = 1 on the way."""
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    others = [Hypergraph(n, u, data.draw(st.permutations(edges))), Hypergraph(n + 1, u, edges),
+              Hypergraph(n, u + 1, []), Hypergraph(n, u, edges[1:])]
+    unused = [e for e in combinations(range(n), u) if sorted(e) not in map(sorted, edges)]
+    if edges and unused:
+        changed = list(edges)
+        changed[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.sampled_from(unused))
+        others.append(Hypergraph(n, u, changed))
+    for other in others:
+        assert (hg == other, other == hg) == (ref_equal(hg, other), ref_equal(other, hg))
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    ((0, 2, []), (0, 2, []), True),
+    ((3, 2, []), (3, 3, []), False),
+    ((4, 1, [(3,), (0,)]), (4, 1, [(0,), (3,)]), True),
+    ((4, 1, [(3,), (0,)]), (4, 1, [(0,), (2,)]), False),
+    ((4, 2, [(0, 1)]), (5, 2, [(0, 1)]), False),
+    ((4, 2, [(0, 1), (2, 3)]), (4, 2, [(2, 3)]), False),
+    ((5, 10**18, []), (5, 10**18, []), True),  # no edges: nothing may loop over the u columns
+])
+def test_equality_edge_cases(a, b, equal):
+    a, b = Hypergraph(*a), Hypergraph(*b)
+    assert (a == b) == (b == a) == ref_equal(a, b) == equal
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(edge_lists(valid=True).filter(lambda c: c[0] > 0), bounded_degree_edge_lists()),
+    st.data(),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(1, 40),
+    st.integers(0, 2**32),
+)
+def test_probe_bad_vertex_matches_the_incidence_walk(case, data, k, d, trials, seed):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    v = data.draw(st.integers(0, n - 1))
+    assert probe_bad_vertex(hg, k, d, v, trials, seed) == ref_probe_bad_vertex(hg, k, d, v, trials, seed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_probe_bad_vertex_at_an_isolated_vertex(k):
+    """Vertex 3 lies on no edge: its support is itself alone, and it is never bad."""
+    hg = Hypergraph(6, 3, [(5, 1, 0), (1, 4, 5)])
+    for d, trials, seed in [(0, 30, 1), (1, 1, 2), (2, 200, 3)]:
+        found = probe_bad_vertex(hg, k, d, 3, trials, seed)
+        assert found == ref_probe_bad_vertex(hg, k, d, 3, trials, seed) and found.count == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 2), (3, 3)]), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_grid_witness_mono_degree_matches_the_incidence_walk(shape, k, d, data):
+    n, r = shape
+    colours = data.draw(st.lists(st.sampled_from([0, 0, 0, k - 1]), min_size=n**r, max_size=n**r))
+    colouring = Colouring(tuple(colours), k)
+    witness = grid_defect_witness(n, r, colouring, d)
+    if witness is not None:
+        assert witness.mono_degree == mono_degree(grid(n, r), colouring, witness.vertex)
+
+
+# The Hypergraph keeps no tuple views (``test_api`` locks that), so these runs
+# show every algorithm, verify, the probes and the bounds work on the array alone.
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_algorithms_read_only_the_edge_array(mode, no_tuple_views):
-    """No engine mode, nor verify, builds the edges or incidence tuple views."""
+def test_algorithms_read_only_the_edge_array(mode):
+    """Every engine mode, and verify, runs on the array-only Hypergraph."""
     hg = {
         "graph-maxcut": random_bounded_degree(60, 2, 12, 200, seed=40),
         "naive-lll": random_linear(24, 3, 6, 40, seed=41),
@@ -744,13 +839,17 @@ def test_algorithms_read_only_the_edge_array(mode, no_tuple_views):
     assert verify(hg, result.colouring, 1).is_defective
 
 
-def test_decompose_oracle_and_bounds_read_only_the_edge_array(no_tuple_views):
+def test_decompose_oracle_and_bounds_read_only_the_edge_array():
     sparse, small = random_bounded_degree(60, 3, 12, 200, seed=5), complete(6, 3)
     assert decompose(sparse, 3).sunflowers and decompose(small, 3).sunflowers
     assert exact_defective_chromatic(small, 1) == 2  # two triangles
     assert probe_mono_edge(small, 2, 50).trials == 50
+    assert probe_bad_vertex(small, 2, 1, 0, 50).trials == 50
     assert bad_vertex_ceiling(small, 0, 2, 1) == 10 * 2.0 ** -2 / 2
     assert guarantee_bound(small, 3, 0) == 2 * 10 / 3
+    assert grid_defect_witness(3, 2, Colouring((0,) * 9, 1), 0).mono_degree == 4
+    assert (small.degree([0, 1]), small.degree([0, 1, 2]), small.degree([0, 1, 2, 3])) == (4, 1, 0)
+    assert small == complete(6, 3) and sparse != small
 
 
 # -- instance generation -----------------------------------------------------
@@ -804,14 +903,15 @@ def test_random_families_match_the_pure_python_sampler(params, chunk):
 
     Chunks of 1, 2 and 7 candidates put a chunk boundary at every place a
     clash between candidates can fall.  Targets the cap makes unreachable
-    (max degree 0, or n * max_degree < u * target_m) run the whole budget.
+    (max degree 0, or n * max_degree < u * target_m) draw until the budget
+    is spent or fewer than u vertices have room.
     """
     n, u, max_degree, target_m, seed, linear = params
     make = random_linear if linear else random_bounded_degree
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(generators, "_CHUNK_ROWS", chunk)
         hg = make(n, u, max_degree, target_m, seed=seed)
-    assert hg.edges == tuple(reference_rejection_sample(n, u, max_degree, target_m, seed, linear))
+    assert edge_tuples(hg) == tuple(reference_rejection_sample(n, u, max_degree, target_m, seed, linear))
 
 
 @pytest.mark.parametrize("n, u, max_degree, target_m, linear", [
@@ -822,7 +922,7 @@ def test_random_families_match_the_pure_python_sampler(params, chunk):
 ])
 def test_random_families_match_the_reference_at_full_chunks(n, u, max_degree, target_m, linear):
     make = random_linear if linear else random_bounded_degree
-    assert make(n, u, max_degree, target_m, seed=3).edges \
+    assert edge_tuples(make(n, u, max_degree, target_m, seed=3)) \
         == tuple(reference_rejection_sample(n, u, max_degree, target_m, 3, linear))
 
 
@@ -850,6 +950,24 @@ def test_candidates_are_drawn_in_bounded_chunks(monkeypatch):
     assert random_bounded_degree(500, 3, 4, 1000, seed=1).m < 1000  # the cap leaves room for 666
     assert max(sizes) == 64
     assert sum(sizes) == 10 * 1000
+
+
+def test_draws_stop_once_no_candidate_fits(monkeypatch):
+    """Past the point where fewer than u vertices have room, no further chunk is drawn."""
+    sizes = []
+    take = generators._Samples.take
+
+    def recording_take(self, count):
+        sizes.append(count)
+        return take(self, count)
+
+    monkeypatch.setattr(generators._Samples, "take", recording_take)
+    hg = random_bounded_degree(10, 3, 2, 5000, seed=1)
+    assert (hg.m, sum(hg.degrees())) == (6, 18)  # 18 of the 20 slots: two vertices have room
+    assert edge_tuples(hg) == tuple(reference_rejection_sample(10, 3, 2, 5000, 1, False))
+    assert sizes == [generators._CHUNK_ROWS]  # the budget would allow 50000
+    assert random_bounded_degree(1000, 3, 0, 10**6).m == 0
+    assert sizes == [generators._CHUNK_ROWS]  # max degree 0: nothing is drawn
 
 
 # The canaries: the replay is only right while this interpreter's ``random``

@@ -20,7 +20,6 @@ from defcol import (
     greedy_proper,
     linear_lll_colouring,
     mono_counts,
-    mono_degree,
     nibble_colouring,
     nibble_round,
     random_bounded_degree,
@@ -30,6 +29,7 @@ from defcol import (
     verify,
 )
 from defcol.engine import _classify_arrays, closed_second_neighbourhood
+from helpers import edge_tuples, mono_degree
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 
@@ -109,7 +109,7 @@ class TestClassify:
             ref_terrible = {
                 v
                 for v in range(hg.n)
-                if sum(set(hg.edges[i]) <= ref_bad for i in hg.incident(v)) > threshold
+                if sum(set(e) <= ref_bad for e in edge_tuples(hg) if v in e) > threshold
             }
             assert bad == ref_bad
             assert terrible == ref_terrible
@@ -143,7 +143,7 @@ def test_mono_counts_kernel():
             colouring = Colouring(tuple(colours), k)
             reference = [mono_degree(hg, colouring, v) for v in range(n)]
             ref_bad = [c >= 1 for c in reference]
-            all_bad = [e for e in hg.edges if all(ref_bad[v] for v in e)]
+            all_bad = [e for e in edge_tuples(hg) if all(ref_bad[v] for v in e)]
             ref_terrible = [sum(v in e for e in all_bad) > threshold for v in range(n)]
             single_bad, single_terrible = _classify_arrays(rows[b], edges, n, 0, threshold)
             assert counts[b].tolist() == mono_counts(edges, rows[b], n).tolist() == reference

@@ -1,4 +1,4 @@
-"""Golden records: seeded ``color``, ``maxcut``, ``sunflower`` and ``generate`` runs must reproduce frozen digests.
+"""Golden records: seeded ``color``, ``maxcut``, ``sunflower``, ``probe`` and ``generate`` runs match frozen digests.
 
 Each case writes a small seeded instance, runs ``defcol color`` on it
 through :func:`defcol.cli.main`, and hashes what a user gets back:
@@ -20,6 +20,10 @@ search that walked the tuple views, before it read the edge array.  The
 two larger ``sunflower`` cases (m=1000 and K_12^(3)) were frozen from the
 decomposition that rebuilt a Hypergraph per extraction, before it kept
 one view of the alive rows.
+
+The ``probe`` digests cover the same record and stdout of ``defcol probe``;
+they were frozen from the bad-vertex probe that walked the incidence tuples
+of the hypergraph, before it read the edge array.
 
 The ``generate`` digests cover the instance text ``defcol generate`` writes
 to stdout, and the stdout of an ``--out`` run followed by the file; they
@@ -216,7 +220,30 @@ def run_subcommand(spec, argv, tmp_path, capsys):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+PROBE_CASES = {
+    # id: (instance, what, k, defect, vertex).  Vertex 12 of the u=3 instance has
+    # degree 8, the cap, and vertex 8 lies on no edge
+    "probe-bad-vertex-u3-busy": (("random", 50, 3, 8, 60, 4), "bad-vertex", 2, 2, 12),
+    "probe-bad-vertex-u3-isolated": (("random", 50, 3, 8, 60, 4), "bad-vertex", 2, 0, 8),
+    "probe-bad-vertex-complete-8-3": (("complete", 8, 3), "bad-vertex", 3, 4, 3),
+    "probe-bad-vertex-u2": (("random", 40, 2, 10, 120, 3), "bad-vertex", 3, 2, 21),
+    "probe-mono-edge-u3": (("random", 50, 3, 8, 60, 4), "mono-edge", 3, 0, 0),
+}
+
+PROBE_DIGESTS = {
+    "probe-bad-vertex-complete-8-3": "836b41f30befec8bd77c614a3ae55e454e07d02e1ba55487493cb79a8b120a0b",
+    "probe-bad-vertex-u2": "019e8e4306b8144c8283ca86cb35e82b689673b53c5d8b002a2e1ba5479dfb0d",
+    "probe-bad-vertex-u3-busy": "0419b9e4ad5561a48d6576405f93909cf97f946b8fe7951006ee2d49d66e9a5a",
+    "probe-bad-vertex-u3-isolated": "3b64b566c6e235c3a33996b177e01ffd726ff386a766fd12c27eab601daef51c",
+    "probe-mono-edge-u3": "519e502989ec0dbc4c4d89bda9ea82f768c9093514b75c8a8f6b4e8cb22df21f",
+}
+
+
 def subcommand_argv(case_id, tmp_path):
+    if case_id in PROBE_CASES:
+        spec, what, k, d, v = PROBE_CASES[case_id]
+        return spec, ["probe", "--what", what, "--k", str(k), "--defect", str(d), "--vertex", str(v),
+                      "--trials", "20000", "--seed", "3"]
     if case_id in MAXCUT_CASES:
         spec, parts, seed = MAXCUT_CASES[case_id]
         return spec, ["maxcut", "--parts", str(parts), "--seed", str(seed), "--out", str(tmp_path / "out.txt")]
@@ -228,6 +255,12 @@ def subcommand_argv(case_id, tmp_path):
 def test_maxcut_and_sunflower_match_frozen_digests(case_id, tmp_path, capsys):
     spec, argv = subcommand_argv(case_id, tmp_path)
     assert run_subcommand(spec, argv, tmp_path, capsys) == SUBCOMMAND_DIGESTS[case_id]
+
+
+@pytest.mark.parametrize("case_id", sorted(PROBE_CASES))
+def test_probe_matches_frozen_digests(case_id, tmp_path, capsys):
+    spec, argv = subcommand_argv(case_id, tmp_path)
+    assert run_subcommand(spec, argv, tmp_path, capsys) == PROBE_DIGESTS[case_id]
 
 
 GENERATE_CASES = {

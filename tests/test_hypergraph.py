@@ -1,4 +1,4 @@
-"""Core structure: construction, incidence, links, induced subgraphs, text format."""
+"""Core structure: construction, degrees, links, induced subgraphs, text format."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ class TestConstruction:
         assert hg.n == 4
         assert hg.u == 2
         assert hg.m == 2
-        assert hg.edges == ((0, 1), (2, 3))  # stored sorted
+        assert hg.edge_array().tolist() == [[0, 1], [2, 3]]  # stored sorted
 
     def test_empty(self):
         hg = Hypergraph(0, 2, [])
@@ -79,10 +79,6 @@ class TestIncidence:
     def setup_method(self):
         self.hg = Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
 
-    def test_incident(self):
-        assert self.hg.incident(0) == (0, 1)
-        assert self.hg.incident(4) == (2,)
-
     def test_degrees(self):
         assert self.hg.degrees() == [2, 2, 2, 2, 1]
         assert self.hg.max_degree == 2
@@ -109,7 +105,7 @@ def test_link_of_complete_4_3_is_triangle():
     link, old = hg.link(0)
     assert link.u == 2
     assert link.n == 3
-    assert link.edges == ((0, 1), (0, 2), (1, 2))
+    assert link.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
     assert old == [1, 2, 3]
 
 
@@ -124,7 +120,7 @@ def test_induced_keeps_only_internal_edges():
     sub, old = hg.induced([1, 2, 3, 4])
     assert old == [1, 2, 3, 4]
     assert sub.n == 4
-    assert sub.edges == ((0, 1), (2, 3))
+    assert sub.edge_array().tolist() == [[0, 1], [2, 3]]
 
 
 def test_induced_empty():
@@ -205,7 +201,6 @@ def test_link_degrees_match_host(hg, v):
     if v >= hg.n or hg.u < 2:
         return
     link, old = hg.link(v)
-    assert link.m == len(hg.incident(v))
+    assert link.m == hg.degree([v])
     for new_idx, old_idx in enumerate(old):
-        host_pairs = hg.degree([v, old_idx])
-        assert len(link.incident(new_idx)) == host_pairs
+        assert link.degree([new_idx]) == hg.degree([v, old_idx])

@@ -11,8 +11,8 @@ from defcol import (
     max_cut_search,
     pair_objective,
     random_bounded_degree,
-    within_part_incident_count,
 )
+from helpers import within_part_incident_count
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 

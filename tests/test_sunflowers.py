@@ -14,6 +14,7 @@ from defcol import (
     leftover_bound,
     random_bounded_degree,
 )
+from helpers import edge_tuples
 
 
 class TestSunflowerType:
@@ -106,7 +107,7 @@ class TestFindSunflower:
         hg = random_bounded_degree(14, 3, 8, 40, seed=6)
         sf = find_sunflower(hg, 3)
         assert sf is not None
-        edge_set = set(hg.edges)
+        edge_set = set(edge_tuples(hg))
         for e in sf.edges():
             assert e in edge_set
 
@@ -126,7 +127,7 @@ class TestFindSunflower:
 class TestDecompose:
     def check(self, hg, a):
         result = decompose(hg, a)
-        edge_set = set(hg.edges)
+        edge_set = set(edge_tuples(hg))
         used = set()
         for sf in result.sunflowers:
             assert sf.petal_count == a
