@@ -26,7 +26,11 @@ generator and draws the kept rows again, so colours, resample counts and the
 RNG stream are those of one redraw at a time.  One vectorised kernel,
 :func:`mono_counts`, counts monochromatic edges per vertex for the engine,
 :func:`classify` and ``analysis.verify``, on one colour vector or a (B, n)
-batch of rows.
+batch of rows.  One vector is counted by a ``bincount``.  A batch is
+transposed once to vertex-major (n, B), so an edge slot's colours are one
+gather of contiguous length-B rows, and counted per vertex and row by one
+``reduceat`` over a CSR vertex -> edge index; the resample loop builds that
+index at most once, on its first batch of more than one row.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import cache, partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _runs
+from .hypergraph import Hypergraph, _incidence, _runs
 
 __all__ = [
     "MODES",
@@ -153,36 +158,71 @@ def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
     return Colouring(tuple(int(c) for c in draws), k)
 
 
-def _slot_ids(edges: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Where each edge slot's vertex sits in a flattened (n,) or (B, n) array: (u, m) or (u, B*m).
+def _vertex_major(colours: np.ndarray) -> np.ndarray:
+    """An (n,) colour vector or one (1, n) row as (n,); B > 1 rows as one contiguous (n, B) array.
 
-    Row b's vertex ids are offset by b * n, so one gather reads, and one
-    ``bincount`` counts, every row at once.
+    Vertex-major rows put each vertex's B colours side by side, so the
+    colours of an edge slot are one gather of m contiguous length-B rows.
     """
-    slots = edges.T
-    if len(shape) == 1:
-        return slots
-    return (slots[:, None, :] + (np.arange(shape[0]) * shape[1])[:, None]).reshape(len(slots), -1)
+    if colours.ndim == 1 or len(colours) == 1:
+        return colours.reshape(-1)
+    return np.ascontiguousarray(colours.T)
 
 
-def _every_slot(ids: np.ndarray, test: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per edge (and row), whether ``test`` holds at each of its u slots."""
-    out = test(ids[0])
-    for slot in ids[1:]:
-        out &= test(slot)
-    return out
+def _batch_index(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edge of each vertex slot in CSR order, the vertices on some edge, where their runs start)."""
+    edge_of, degrees = _incidence(edges, n)
+    nonempty = np.flatnonzero(degrees)
+    return edge_of, nonempty, (np.cumsum(degrees) - degrees)[nonempty]
 
 
-def _edge_counts(ids: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Per row and vertex, how many edges picked by ``mask`` contain it."""
-    picked = np.concatenate([slot[mask] for slot in ids])
-    return np.bincount(picked, minlength=math.prod(shape)).reshape(shape)
+_BatchIndex = Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _mono_counts(ids: np.ndarray, colours: np.ndarray) -> np.ndarray:
-    flat = colours.ravel()
-    first = flat[ids[0]]
-    return _edge_counts(ids, _every_slot(ids, lambda slot: flat[slot] == first), colours.shape)
+def _slots(edges: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
+    """The vertex-major ``values`` at each of the u edge slots in turn, as (m,) or (m, B) arrays.
+
+    B rows are gathered by ``take``, which costs a fraction of fancy
+    indexing on short rows; one row keeps fancy indexing, which is cheaper there.
+    """
+    return map(values.__getitem__ if values.ndim == 1 else partial(values.take, axis=0), edges.T)
+
+
+def _edge_counts(edges: np.ndarray, mask: np.ndarray, n: int, index: _BatchIndex) -> np.ndarray:
+    """Per vertex (and row), how many edges picked by ``mask`` contain it: (n,) from (m,), (n, B) from (m, B).
+
+    One row is counted by one ``bincount``; B rows by one ``reduceat`` over
+    the CSR incidence ``index()``, where only vertices of degree > 0 start a
+    run (``reduceat`` reads an empty run as its next element) and the rest
+    stay 0.
+    """
+    if mask.ndim == 1:
+        return np.bincount(np.concatenate([slot[mask] for slot in edges.T]), minlength=n)
+    edge_of, nonempty, starts = index()
+    counts = np.zeros((n, mask.shape[1]), dtype=np.int64)
+    if len(starts):
+        counts[nonempty] = np.add.reduceat(mask.take(edge_of, axis=0), starts, axis=0)
+    return counts
+
+
+def _mono_edges(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """Per edge (and row), whether the vertex-major colours agree at all u slots.
+
+    Only the mask outlives the call: the gathered (m, B) colours held over the
+    counting that follows made the allocator return and refault pages on every call.
+    """
+    slots = _slots(edges, colours)
+    first = next(slots)
+    mono = np.ones(first.shape, dtype=bool)
+    for at in slots:
+        mono &= at == first
+    return mono
+
+
+def _mono_counts(edges: np.ndarray, colours: np.ndarray, n: int, index: _BatchIndex) -> np.ndarray:
+    """:func:`mono_counts`, counting B > 1 rows through the CSR incidence ``index()``."""
+    counts = _edge_counts(edges, _mono_edges(edges, _vertex_major(colours)), n, index)
+    return counts.T.reshape(colours.shape)
 
 
 def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
@@ -193,19 +233,26 @@ def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
     (B, n) rows; the counts have the same shape.  Only label equality
     matters.
     """
-    colours = colours.reshape(colours.shape[:-1] + (n,))
-    return _mono_counts(_slot_ids(edges, colours.shape), colours)
+    return _mono_counts(edges, colours, n, partial(_batch_index, edges, n))
 
 
 def _classify_arrays(
-    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float
+    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float,
+    index: _BatchIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(bad mask, terrible mask) for an (n,) colour vector or for (B, n) rows."""
-    colours = colours.reshape(colours.shape[:-1] + (n,))
-    ids = _slot_ids(edges, colours.shape)
-    bad = _mono_counts(ids, colours) >= d + 1
-    all_bad = _every_slot(ids, bad.ravel().__getitem__)
-    return bad, _edge_counts(ids, all_bad, bad.shape) > threshold
+    """(bad mask, terrible mask) for an (n,) colour vector or for (B, n) rows.
+
+    ``index`` supplies the CSR incidence of ``edges`` for B > 1 rows; by
+    default each such call builds its own.
+    """
+    index = index or partial(_batch_index, edges, n)
+    bad = _edge_counts(edges, _mono_edges(edges, _vertex_major(colours)), n, index) >= d + 1
+    slots = _slots(edges, bad)
+    all_bad = next(slots)
+    for at in slots:
+        all_bad &= at
+    terrible = _edge_counts(edges, all_bad, n, index) > threshold
+    return bad.T.reshape(colours.shape), terrible.T.reshape(colours.shape)
 
 
 def classify(
@@ -249,12 +296,15 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
 
 
 # Cap on B * max(m, n), the edge-rows (or vertex-rows, on instances with more
-# vertices than edges) one speculative batch holds.  Measured on the
-# adaptive-resample instances (m = 199-228, so about 36 rows): a pass of their
-# three adaptive calls took 3.2-3.3 s at 2^11, 2.1-2.6 s at 2^12, 2.4-2.5 s at
-# 2^13 and 2.8-3.1 s at 2^14; longer batches spill the (B, m) working arrays
-# out of cache and waste more rows at a miss.
-_BATCH_EDGE_ROWS = 2**13
+# vertices than edges) one speculative batch holds.  Measured on the k=2 probe
+# of the adaptive-resample instances (m = 199-228, so 143-164 rows at 2^15), 2
+# vCPU, caps interleaved over 7 rounds, median (fastest) us per resample: 5.7
+# (5.0) at 2^13, 5.2 (4.1) at 2^14, 5.7 (3.7) at 2^15, 4.5 (3.8) at 2^16 and
+# 5.9 (4.1) at 2^17, against 15.8 (14.8) for the kernel that offset each row
+# into one flat bincount, at 2^13.  The vertex-major kernel's fastest rounds
+# bottom out at 2^15-2^16; past that its (B, m) working arrays spill out of
+# cache and a miss wastes more rows.
+_BATCH_EDGE_ROWS = 2**15
 
 
 def _resample(
@@ -275,10 +325,12 @@ def _resample(
     the same state as B calls of size |S| (numpy takes bounded integers
     from the bit stream one at a time and keeps a spare 32-bit half in the
     generator state), and classifies all B rows in one ``violated`` call
-    on a (B, n) array.  Row i is kept while every earlier row flags a
-    vertex whose support is S; the first row that flags nothing, or whose
-    lowest flagged vertex has another support, is the last one kept
-    (supports are computed in that walk order, no further).  If rows were
+    on a (B, n) array; the kernel counts them vertex-major through a CSR
+    incidence that the caller builds on the first such call.  Row i is
+    kept while every earlier row flags a vertex whose support is S; the
+    first row that flags nothing, or whose lowest flagged vertex has
+    another support, is the last one kept (supports are computed in that
+    walk order, no further).  If rows were
     dropped, the generator state saved before the batch is restored and
     the kept draws are drawn again, so the colours, the resample count and
     the RNG stream are exactly those of redrawing one support at a time.
@@ -359,9 +411,10 @@ def nibble_round(
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
 
     edges = hg.edge_array()
+    index = cache(partial(_batch_index, edges, hg.n))  # built by the first batch of B > 1 rows
     colours, resamples, succeeded = _resample(
         hg, k, seed, budget,
-        lambda c: _classify_arrays(c, edges, hg.n, d, threshold)[1],
+        lambda c: _classify_arrays(c, edges, hg.n, d, threshold, index)[1],
         lambda v: closed_second_neighbourhood(hg, v),
     )
     trace = RoundTrace(0, "nibble", k, 0, float(hg.max_degree), resamples, 0, succeeded)
@@ -401,9 +454,10 @@ def linear_lll_colouring(
 
     k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1))))
     edges, nbr = hg.edge_array(), hg.neighbour_sets()
+    index = cache(partial(_batch_index, edges, hg.n))  # built by the first batch of B > 1 rows
     colours, resamples, succeeded = _resample(
         hg, k, seed, budget,
-        lambda c: mono_counts(edges, c, hg.n) > d,
+        lambda c: _mono_counts(edges, c, hg.n, index) > d,
         lambda v: sorted(nbr[v] | {v}),
     )
     if not succeeded:

@@ -71,6 +71,17 @@ def _first_fault(edges: Iterable[Iterable[int]], n: int, u: int) -> None:
         seen.add(e)
 
 
+def _incidence(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's edges as CSR: (row ids grouped by vertex, per-vertex counts).
+
+    The ids come from one stable argsort of the flattened (m, u) array, so
+    each vertex's run lists its rows in increasing order and the runs follow
+    vertex order.
+    """
+    flat = edges.ravel()
+    return np.argsort(flat, kind="stable") // edges.shape[1], np.bincount(flat, minlength=n)
+
+
 def _runs(items: list, counts: np.ndarray) -> Iterator[list]:
     """``items`` cut into consecutive runs of the given lengths, made one at a time."""
     ends = np.cumsum(counts).tolist()

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .hypergraph import Hypergraph, VertexSet, _runs, as_vertex_set
+from .hypergraph import Hypergraph, VertexSet, _incidence, _runs, as_vertex_set
 
 __all__ = [
     "Sunflower",
@@ -159,9 +157,8 @@ class _AliveRows:
     @cached_property
     def _incidence(self) -> list[list[int]]:
         """Each vertex's rows in index order, from one stable argsort; made on the first link."""
-        flat = self._array.ravel()
-        ids = (np.argsort(flat, kind="stable") // self.u).tolist()
-        return list(_runs(ids, np.bincount(flat, minlength=self.n)))
+        ids, degrees = _incidence(self._array, self.n)
+        return list(_runs(ids.tolist(), degrees))
 
     def link(self, v: int) -> tuple[Hypergraph, list[int]]:
         """``Hypergraph.link(v)`` of the alive rows, cut from only the alive rows through ``v``."""

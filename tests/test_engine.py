@@ -28,6 +28,7 @@ from defcol import (
     uniform_colouring,
     verify,
 )
+from defcol import engine
 from defcol.engine import _classify_arrays, closed_second_neighbourhood
 from helpers import edge_tuples, mono_degree
 
@@ -115,6 +116,35 @@ class TestClassify:
             assert terrible == ref_terrible
 
 
+def reference_classify(hg, colouring, d, threshold):
+    """(mono degrees, bad flags, terrible flags) of one colouring, from the pure-Python references."""
+    mono = [mono_degree(hg, colouring, v) for v in range(hg.n)]
+    bad = [c >= d + 1 for c in mono]
+    all_bad = [e for e in edge_tuples(hg) if all(bad[v] for v in e)]
+    return mono, bad, [sum(v in e for e in all_bad) > threshold for v in range(hg.n)]
+
+
+def assert_rows_match(hg, rows, k, d, threshold):
+    """Every row of the (B, n) kernel calls equals the (n,) call on it and the references."""
+    edges, n = hg.edge_array(), hg.n
+    counts = mono_counts(edges, rows, n)
+    bad, terrible = _classify_arrays(rows, edges, n, d, threshold)
+    assert counts.shape == bad.shape == terrible.shape == rows.shape
+    for b, row in enumerate(rows):
+        mono, ref_bad, ref_terrible = reference_classify(hg, Colouring(tuple(row.tolist()), k), d, threshold)
+        single_bad, single_terrible = _classify_arrays(row, edges, n, d, threshold)
+        assert counts[b].tolist() == mono_counts(edges, row, n).tolist() == mono
+        assert bad[b].tolist() == single_bad.tolist() == ref_bad
+        assert terrible[b].tolist() == single_terrible.tolist() == ref_terrible
+
+
+def labelled_rows(batch, n, k, seed):
+    """(batch, n) labels drawn from three values spread over 0..k-1; object dtype past int64."""
+    draws = np.random.default_rng(seed).integers(0, 3, size=(batch, n)).tolist()
+    labels = [[c * (k - 1) // 2 for c in row] for row in draws]
+    return np.array(labels, dtype=object if k > 2**62 else np.int64).reshape(batch, n)
+
+
 def test_mono_counts_kernel():
     assert mono_counts(TRIANGLE.edge_array(), np.array([0, 0, 1]), 3).tolist() == [1, 1, 0]
     assert mono_counts(TRIANGLE.edge_array(), np.zeros(3, dtype=np.int64), 3).tolist() == [2, 2, 2]
@@ -126,29 +156,46 @@ def test_mono_counts_kernel():
         (empty, 2),
         (Hypergraph(5, 1, [(0,), (3,)]), 2),
         (Hypergraph(7, 4, [(0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 4, 6)]), 2),  # vertex 5 isolated
+        (Hypergraph(8, 3, [(1, 2, 3), (2, 3, 5), (1, 5, 6), (3, 5, 6)]), 2),  # 0, 4 and 7 isolated
         (random_bounded_degree(20, 3, 8, 50, seed=3), 2),
         (random_bounded_degree(30, 2, 6, 70, seed=4), 3),
         (complete(6, 3), 2**70),  # labels past int64
     ]
-    for (hg, k), batch in product(cases, (1, 5)):
-        edges, n = hg.edge_array(), hg.n
-        threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
-        draws = np.random.default_rng(batch).integers(0, 3, size=(batch, n))
-        labels = [[int(c) * (k - 1) // 2 for c in row] for row in draws]
-        rows = np.array(labels, dtype=object if k > 2**62 else np.int64).reshape(batch, n)
-        counts = mono_counts(edges, rows, n)
-        bad, terrible = _classify_arrays(rows, edges, n, 0, threshold)
-        assert counts.shape == bad.shape == terrible.shape == (batch, n)
-        for b, colours in enumerate(labels):
-            colouring = Colouring(tuple(colours), k)
-            reference = [mono_degree(hg, colouring, v) for v in range(n)]
-            ref_bad = [c >= 1 for c in reference]
-            all_bad = [e for e in edge_tuples(hg) if all(ref_bad[v] for v in e)]
-            ref_terrible = [sum(v in e for e in all_bad) > threshold for v in range(n)]
-            single_bad, single_terrible = _classify_arrays(rows[b], edges, n, 0, threshold)
-            assert counts[b].tolist() == mono_counts(edges, rows[b], n).tolist() == reference
-            assert bad[b].tolist() == single_bad.tolist() == ref_bad
-            assert terrible[b].tolist() == single_terrible.tolist() == ref_terrible
+    for (hg, k), batch in product(cases, (1, 2, 5, 300)):
+        rows = labelled_rows(batch, hg.n, k, batch)
+        default = hg.max_degree * 2.0 ** -(hg.u - 1)
+        for d, threshold in product(range(4), (0.0, -1.0, default)) if batch < 300 else [(0, default)]:
+            assert_rows_match(hg, rows, k, d, threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_kernel_rows_match_single_calls(data):
+    u = data.draw(st.integers(1, 4), label="u")
+    n = data.draw(st.integers(u, 12), label="n")
+    isolated = data.draw(st.sets(st.sampled_from([0, n // 2, n - 1])), label="isolated")
+    pool = list(combinations(sorted(set(range(n)) - isolated), u))
+    edges = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=15) if pool else st.just([]))
+    hg = Hypergraph(n, u, edges)
+    batch = data.draw(st.integers(2, 300), label="B")
+    k = data.draw(st.sampled_from([2, 3, 2**70]), label="k")
+    d = data.draw(st.integers(0, 3), label="d")
+    threshold = data.draw(st.sampled_from([0.0, -1.0, hg.max_degree * 2.0 ** -(hg.u - 1)]))
+    rows = labelled_rows(batch, n, k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    assert_rows_match(hg, rows, k, d, threshold)
+
+
+def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkeypatch):
+    builds = []
+    real = engine._batch_index
+    monkeypatch.setattr(engine, "_batch_index", lambda edges, n: builds.append(n) or real(edges, n))
+    hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
+    assert nibble_round(hg, 1, 40, budget=300)[2].resamples == 0
+    assert linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1)[1].resamples == 0
+    assert builds == []  # one row at a time never needs the index
+    for _ in range(2):
+        assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # batches of up to 164 rows
+    assert builds == [35, 35]
 
 
 def test_closed_second_neighbourhood_on_a_path():

@@ -12,6 +12,8 @@ single round driver, so a refactor that changes the RNG stream, a
 palette, a probe count or a trace field fails here.  The two
 ``adaptive-resample`` cases were frozen from the resample loop that
 redrew one support per classification, before it classified batches.
+``adaptive-default-a35`` was frozen from the kernel that offset each batch
+row into one flat ``bincount``, before it classified batches vertex-major.
 
 The ``maxcut`` and ``sunflower`` digests cover the ``--json`` record
 (minus ``wall_clock_s`` and the path-valued params), then stdout, then
@@ -64,6 +66,10 @@ CASES = {
     # u=3 case's k=2 probe also runs out of its budget of 200
     "adaptive-resample-u2": (("random", 40, 2, 12, 100, 2), "adaptive", 1, 1, 600, None),
     "adaptive-resample-u3": (("random", 60, 3, 10, 150, 2), "adaptive", 0, 1, 200, None),
+    # the adaptive-resample benchmark's a35 instance at seed 7: every support is
+    # the whole graph, so the k=2 probe spends all of its 35000 resamples in
+    # batches that grow to the size cap and are kept whole
+    "adaptive-default-a35": (("random", 35, 3, 18, 199, 7000), "adaptive", 1, 0, None, None),
     "naive-lll": (("linear", 30, 3, 6, 40, 2), "naive-lll", 1, 0, None, None),
     "naive-lll-exhausted": (("random", 400, 2, 10, 2000, 7), "naive-lll", 0, 0, 1, None),
     "graph-maxcut": (("random", 50, 2, 12, 150, 0), "graph-maxcut", 1, 3, None, None),
@@ -74,6 +80,7 @@ RECORD_DIGESTS = {
     "adaptive-bisect-failures": "f08518f99ebf560f9312600296169ea68d5b002607365c1f897049f4dbaeb6aa",
     "adaptive-budget": "54d65cbf8ccc63395d89f7e70fd3f77b1944446a28aea929d451e497d8112f17",
     "adaptive-default": "51dcd5f4207718a30cc919d97a9bcaf748d6326eb2bc51525c42beaf9a408a07",
+    "adaptive-default-a35": "949151e20d1b97505fae54982b08cbf71cf2a7e501394fbb21836cea8231036a",
     "adaptive-resample-u2": "aa40b810ed62b798e49aa50fb9fa8f43f21920297255eee5cdb6c505a9e6925b",
     "adaptive-resample-u3": "602f7b14bdf607f641cb66c0fcb4d59199116efe51d895171e0ff22b23f285ae",
     "adaptive-fallback": "85576b258d3542a0a3a63f8eb4246a3dd63bf5dfc9fe82eb4e31ff45ea3eb4a9",
@@ -93,6 +100,7 @@ TRACE_DIGESTS = {
     "adaptive-bisect-failures": "eebbc5f30f140ffa63f9654a25c11d762e8c433aed705f4fc3bd27e062122376",
     "adaptive-budget": "26dcd6f4b0447edf6a4a89b99212ece7cca31166d52e2da677cc5de754f74a0e",
     "adaptive-default": "b6f7bfc795f6918990f5ad727fba26b11e71d1b46645b8717b61b21582b3271f",
+    "adaptive-default-a35": "b4833cefded4631405304d66fb0451e1a984e652a4c00e09a1ef56fed432a284",
     "adaptive-resample-u2": "92198a6aac29aa3d69913e117a3f97dd61a42ccd7d9c3c1384c0fcfab0a9f7c6",
     "adaptive-resample-u3": "0efe784ec7af9eec3c162ebc710c3ef143895a72808da52c93f1a091e39e942e",
     "adaptive-fallback": "1b6a6925d91e10f1a04b074fae09ce8d6eafef872add80be64e03e8b4253a572",
