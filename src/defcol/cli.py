@@ -1,10 +1,18 @@
 """Command line front door: generate, decompose, partition, colour, check, probe, bench.
 
-Every subcommand prints a human-readable summary to stdout and, with
-``--json PATH``, writes a machine-readable run record.  Exit status is 0
-on success, 1 when a computation produced or found an invalid colouring
-(verifier violations, exhausted resampling budget), and 2 on usage
-errors (bad flags, malformed files, size guard).
+One runner, :func:`main`, carries every call: it parses the flags, starts
+the clock, reads and hashes the instance, runs the subcommand, writes the
+``--json`` run record and maps errors to exit statuses.  A subcommand takes
+the parsed flags and the loaded instance (None for ``generate`` and
+``bench``), prints its summary and returns its exit status with the
+record's outcome.  The record holds ``schema``, ``command``, ``params`` (the
+parsed flags), ``seed``, ``instance_digest`` (sha256 of the text read, of
+the text ``generate`` wrote, or null), ``outcome`` and ``wall_clock_s``.
+
+Exit status is 0 on success, 1 when a computation produced or found an
+invalid colouring (verifier violations, exhausted resampling budget), 2 on
+usage errors (bad flags, malformed files, size guard; no record is
+written), and 141 (128 + SIGPIPE), silently, when stdout is closed early.
 
 All randomness flows from ``--seed`` (default 0, never wall clock), so a
 repeated invocation reproduces its record byte for byte apart from the
@@ -17,6 +25,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from typing import Any, Sequence
@@ -58,6 +67,12 @@ GENERATE_GUARD = 2_000_000
 
 # -- plumbing ---------------------------------------------------------------------
 
+# A subcommand's exit status and its record's outcome (None: no record).
+_Result = tuple[int, dict[str, Any] | None]
+
+# Exit status when stdout is closed before the output is written: 128 + SIGPIPE.
+_CLOSED_PIPE = 141
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -75,24 +90,17 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _params(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"func", "json"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def _write_record(
     args: argparse.Namespace,
     digest: str | None,
     outcome: dict[str, Any],
     started: float,
 ) -> None:
-    if not getattr(args, "json", None):
-        return
     record = {
         "schema": 1,
         "command": args.command,
-        "params": _params(args),
-        "seed": getattr(args, "seed", 0),
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "json")},
+        "seed": args.seed,
         "instance_digest": digest,
         "outcome": outcome,
         "wall_clock_s": round(time.perf_counter() - started, 6),
@@ -129,10 +137,21 @@ def _read_assignment(path: str, n: int) -> Colouring:
     return Colouring(colours, (max(colours) + 1) if colours else 1)
 
 
-def _write_assignment(path: str, colouring: Colouring) -> None:
+def _write_labels(path: str, labels: Sequence[int | None]) -> None:
+    """Write one 'vertex label' line per vertex: its colour, or its part."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v, c in enumerate(colouring.colours):
-            fh.write(f"{v} {c}\n")
+        for v, label in enumerate(labels):
+            fh.write(f"{v} {label}\n")
+
+
+def _build(family: str, n: int, k: int, max_degree: int = 0, edges: int = 0, seed: int = 0) -> Hypergraph:
+    """A generated instance; k is the edge size, or the dimension for grid."""
+    if family == "complete":
+        return complete(n, k)
+    if family == "grid":
+        return grid(n, k)
+    sample = random_bounded_degree if family == "random" else random_linear
+    return sample(n, k, max_degree, edges, seed=seed)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -158,22 +177,18 @@ def _past_generate_guard(args: argparse.Namespace) -> bool:
     return False
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_generate(args: argparse.Namespace, _: None) -> _Result:
+    """The outcome carries the written text's digest, which main lifts into the record."""
     family = args.family
+    if args.edges is None:
+        args.edges = 2 * args.n
     if not args.force and _past_generate_guard(args):
         raise SizeGuardError(
             f"{family} instance has more than {GENERATE_GUARD} vertices or edges; "
             "pass --force to build it anyway"
         )
-    if family == "complete":
-        hg = complete(args.n, args.u)
-    elif family == "grid":
-        hg = grid(args.n, args.r)
-    elif family == "random":
-        hg = random_bounded_degree(args.n, args.u, args.max_degree, args.edges, seed=args.seed)
-    else:
-        hg = random_linear(args.n, args.u, args.max_degree, args.edges, seed=args.seed)
+    k = args.r if family == "grid" else args.u
+    hg = _build(family, args.n, k, args.max_degree, args.edges, args.seed)
     text = format_instance(hg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -182,13 +197,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     outcome = {"family": family, "n": hg.n, "m": hg.m, "u": hg.u, "max_degree": hg.max_degree}
-    _write_record(args, _digest(text), outcome, started)
-    return 0
+    return 0, {**outcome, "instance_digest": _digest(text)}
 
 
-def _cmd_sunflower(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load_instance(args.instance)
+def _cmd_sunflower(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     if args.petals < 1:
         raise ValueError(f"petal count must be >= 1, got {args.petals}")
     result = decompose(hg, args.petals)
@@ -201,20 +213,16 @@ def _cmd_sunflower(args: argparse.Namespace) -> int:
         f"extracted {len(result.sunflowers)} sunflowers covering {extracted} edges; "
         f"leftover {len(result.leftover)} (bound {bound})"
     )
-    outcome = {
+    return 0, {
         "petals": args.petals,
         "sunflowers": len(result.sunflowers),
         "extracted_edges": extracted,
         "leftover": len(result.leftover),
         "leftover_bound": bound,
     }
-    _write_record(args, digest, outcome, started)
-    return 0
 
 
-def _cmd_maxcut(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load_instance(args.instance)
+def _cmd_maxcut(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     run = max_cut_search(hg, args.parts, seed=args.seed)
     worst = int(within_part_incident_counts(hg, run.partition).max(initial=0))
     bound = max((guarantee_bound(hg, args.parts, x) for x in range(hg.n)), default=0.0)
@@ -222,69 +230,55 @@ def _cmd_maxcut(args: argparse.Namespace) -> int:
     print(f"pair objective: {run.initial_objective} -> {run.final_objective}")
     print(f"worst within-part incident count {worst} (per-vertex bound up to {bound:.3f})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for v, p in enumerate(run.partition.parts):
-                fh.write(f"{v} {p}\n")
-    outcome = {
+        _write_labels(args.out, run.partition.parts)
+    return 0, {
         "parts": args.parts,
         "moves": run.moves,
         "initial_objective": run.initial_objective,
         "final_objective": run.final_objective,
         "max_within_part": worst,
     }
-    _write_record(args, digest, outcome, started)
-    return 0
 
 
-def _cmd_color(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load_instance(args.instance)
+def _cmd_color(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     config = EngineConfig(mode=args.mode, defect=args.defect, seed=args.seed, budget=args.budget)
     try:
         result = run_engine(hg, config)
     except BudgetExhaustedError as exc:
         print(f"colouring failed: {exc}", file=sys.stderr)
-        _write_record(args, digest, {"mode": args.mode, "valid": False, "error": str(exc)}, started)
-        return 1
+        return 1, {"mode": args.mode, "valid": False, "error": str(exc)}
     report = verify(hg, result.colouring, args.defect)
     resamples = sum(t.resamples for t in result.traces)
     print(
         f"mode={args.mode} defect={args.defect} n={hg.n} m={hg.m} u={hg.u} "
         f"max_degree={hg.max_degree}"
     )
-    print(
-        f"colours: palette {result.colouring.num_colours}, "
-        f"distinct used {result.colouring.distinct_used()}"
-    )
+    print(f"colours: palette {result.colouring.num_colours}, distinct used {report.colours_used}")
     print(
         f"rounds={len(result.traces)} resamples={resamples} "
         f"max_mono_degree={report.max_mono_degree} violations={len(report.violating)}"
     )
     if args.out:
-        _write_assignment(args.out, result.colouring)
+        _write_labels(args.out, result.colouring.colours)
         print(f"assignment -> {args.out}")
-    outcome = {
+    if report.is_defective:
+        print("verifier: ok")
+    else:
+        print(f"INVALID: violating vertices {list(report.violating)[:10]}", file=sys.stderr)
+    return (0 if report.is_defective else 1), {
         "mode": args.mode,
         "defect": args.defect,
         "palette": result.colouring.num_colours,
-        "distinct": result.colouring.distinct_used(),
+        "distinct": report.colours_used,
         "rounds": len(result.traces),
         "resamples": resamples,
         "max_mono_degree": report.max_mono_degree,
         "violations": len(report.violating),
         "valid": report.is_defective,
     }
-    _write_record(args, digest, outcome, started)
-    if not report.is_defective:
-        print(f"INVALID: violating vertices {list(report.violating)[:10]}", file=sys.stderr)
-        return 1
-    print("verifier: ok")
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load_instance(args.instance)
+def _cmd_verify(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     colouring = _read_assignment(args.assignment, hg.n)
     report = verify(hg, colouring, args.defect)
     print(f"defect bound     : {args.defect}")
@@ -297,157 +291,120 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"violating ({len(report.violating)}): {shown}")
     else:
         print("violating (0)")
-    outcome = {
+    return (0 if report.is_defective else 1), {
         "defect": args.defect,
         "colours_used": report.colours_used,
         "max_mono_degree": report.max_mono_degree,
         "violations": len(report.violating),
         "valid": report.is_defective,
     }
-    _write_record(args, digest, outcome, started)
-    return 0 if report.is_defective else 1
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load_instance(args.instance)
+def _cmd_exact(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     value = exact_defective_chromatic(hg, args.defect, limit=args.limit, force=args.force)
     if value is None:
         cap = args.limit if args.limit is not None else max(1, hg.n)
         print(f"no {args.defect}-defective colouring with <= {cap} colours")
     else:
         print(f"defective chromatic number (d={args.defect}): {value}")
-    outcome = {"defect": args.defect, "limit": args.limit, "value": value}
-    _write_record(args, digest, outcome, started)
-    return 0
+    return 0, {"defect": args.defect, "limit": args.limit, "value": value}
 
 
-def _cmd_probe(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    hg, digest = _load_instance(args.instance)
+def _cmd_probe(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     r = hg.u - 1
     if args.what == "mono-edge":
         stats = probe_mono_edge(hg, args.k, args.trials, seed=args.seed)
         target = float(args.k) ** (-r)
         print(f"mono-edge probe: k={args.k} trials={args.trials}")
         print(f"estimate {stats.estimate:.6f} +- {stats.se:.6f} (target {target:.6f})")
-        outcome = {
-            "what": args.what,
-            "k": args.k,
-            "trials": args.trials,
-            "estimate": stats.estimate,
-            "se": stats.se,
-            "target": target,
-        }
+        specific = {"target": target}
     else:
         stats = probe_bad_vertex(hg, args.k, args.defect, args.vertex, args.trials, seed=args.seed)
         ceiling = bad_vertex_ceiling(hg, args.vertex, args.k, args.defect)
-        print(
-            f"bad-vertex probe: v={args.vertex} k={args.k} d={args.defect} trials={args.trials}"
-        )
+        print(f"bad-vertex probe: v={args.vertex} k={args.k} d={args.defect} trials={args.trials}")
         print(f"estimate {stats.estimate:.6f} +- {stats.se:.6f} (Markov ceiling {ceiling:.6f})")
-        outcome = {
-            "what": args.what,
-            "k": args.k,
-            "defect": args.defect,
-            "vertex": args.vertex,
-            "trials": args.trials,
-            "estimate": stats.estimate,
-            "se": stats.se,
-            "ceiling": ceiling,
-        }
-    _write_record(args, digest, outcome, started)
-    return 0
+        specific = {"defect": args.defect, "vertex": args.vertex, "ceiling": ceiling}
+    return 0, {
+        "what": args.what,
+        "k": args.k,
+        "trials": args.trials,
+        "estimate": stats.estimate,
+        "se": stats.se,
+        **specific,
+    }
 
 
-_SUITES = ("graphs-small", "uniform3-small", "linear3-small", "grid-small")
+# Bench suites: rows of (label, mode, d, instance spec), a spec being _build's
+# arguments before the seed.  Row i draws with --seed + i.
+_SUITES: dict[str, tuple[tuple[str, str, int, tuple[Any, ...]], ...]] = {
+    "graphs-small": (
+        ("graph-n20", "graph-maxcut", 1, ("random", 20, 2, 6, 40)),
+        ("graph-n30", "graph-maxcut", 1, ("random", 30, 2, 8, 75)),
+        ("graph-n40", "graph-maxcut", 2, ("random", 40, 2, 10, 100)),
+        ("graph-n24", "graph-maxcut", 2, ("random", 24, 2, 6, 48)),
+    ),
+    "uniform3-small": (
+        ("uniform3-n18", "theorem", 1, ("random", 18, 3, 8, 36)),
+        ("uniform3-n24", "theorem", 1, ("random", 24, 3, 10, 60)),
+        ("uniform3-n30", "theorem", 2, ("random", 30, 3, 12, 75)),
+    ),
+    "linear3-small": (
+        ("linear3-n30", "naive-lll", 1, ("linear", 30, 3, 6, 40)),
+        ("linear3-n40", "naive-lll", 1, ("linear", 40, 3, 8, 60)),
+        ("linear3-n50", "naive-lll", 2, ("linear", 50, 3, 8, 80)),
+    ),
+    "grid-small": (
+        ("grid-4x4", "adaptive", 1, ("grid", 4, 2)),
+        ("grid-5x5", "adaptive", 2, ("grid", 5, 2)),
+        ("grid-3^3", "theorem", 2, ("grid", 3, 3)),
+    ),
+}
 
 
-def _suite_instances(name: str, seed: int) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
-    if name == "graphs-small":
-        for i, (n, cap, m, d) in enumerate([(20, 6, 40, 1), (30, 8, 75, 1), (40, 10, 100, 2), (24, 6, 48, 2)]):
-            hg = random_bounded_degree(n, 2, cap, m, seed=seed + i)
-            rows.append({"label": f"graph-n{n}", "hg": hg, "d": d, "mode": "graph-maxcut"})
-    elif name == "uniform3-small":
-        for i, (n, cap, m, d) in enumerate([(18, 8, 36, 1), (24, 10, 60, 1), (30, 12, 75, 2)]):
-            hg = random_bounded_degree(n, 3, cap, m, seed=seed + i)
-            rows.append({"label": f"uniform3-n{n}", "hg": hg, "d": d, "mode": "theorem"})
-    elif name == "linear3-small":
-        for i, (n, cap, m, d) in enumerate([(30, 6, 40, 1), (40, 8, 60, 1), (50, 8, 80, 2)]):
-            hg = random_linear(n, 3, cap, m, seed=seed + i)
-            rows.append({"label": f"linear3-n{n}", "hg": hg, "d": d, "mode": "naive-lll"})
-    elif name == "grid-small":
-        rows.append({"label": "grid-4x4", "hg": grid(4, 2), "d": 1, "mode": "adaptive"})
-        rows.append({"label": "grid-5x5", "hg": grid(5, 2), "d": 2, "mode": "adaptive"})
-        rows.append({"label": "grid-3^3", "hg": grid(3, 3), "d": 2, "mode": "theorem"})
-    else:
-        raise ValueError(f"unknown suite {name!r} (have: {', '.join(_SUITES)})")
-    return rows
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    rows = _suite_instances(args.suite, args.seed)
+def _cmd_bench(args: argparse.Namespace, _: None) -> _Result:
+    rows = _SUITES[args.suite]
     if args.limit is not None:
         if args.limit < 0:
             raise ValueError(f"limit must be >= 0, got {args.limit}")
         rows = rows[: args.limit]
-    header = (
+    print(
         f"{'instance':<14} {'mode':<13} {'n':>4} {'maxdeg':>6} {'d':>2} "
         f"{'colours':>7} {'reference':>9} {'ratio':>7} {'seconds':>8}"
     )
-    print(header)
     out_rows: list[dict[str, Any]] = []
-    for row in rows:
-        hg: Hypergraph = row["hg"]
-        config = EngineConfig(mode=row["mode"], defect=row["d"], seed=args.seed)
+    for i, (label, mode, d, spec) in enumerate(rows):
+        hg = _build(*spec, seed=args.seed + i)
         t0 = time.perf_counter()
-        result = run_engine(hg, config)
+        result = run_engine(hg, EngineConfig(mode=mode, defect=d, seed=args.seed))
         elapsed = time.perf_counter() - t0
-        report = verify(hg, result.colouring, row["d"])
-        if not report.is_defective:
-            print(f"INVALID colouring on {row['label']}", file=sys.stderr)
-            return 1
+        if not verify(hg, result.colouring, d).is_defective:
+            print(f"INVALID colouring on {label}", file=sys.stderr)
+            return 1, None
         colours = result.colouring.num_colours
-        r = hg.u - 1
-        if hg.max_degree > 0:
-            reference = (hg.max_degree / (row["d"] + 1)) ** (1.0 / r)
-            ratio: float | None = colours / reference
-            ref_s, ratio_s = f"{reference:9.3f}", f"{ratio:7.3f}"
-        else:
-            reference, ratio = 0.0, None
-            ref_s, ratio_s = f"{'0.000':>9}", f"{'-':>7}"
+        reference = (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1)) if hg.max_degree > 0 else 0.0
+        ratio = colours / reference if reference else None
+        ratio_s = f"{ratio:7.3f}" if ratio is not None else f"{'-':>7}"
         print(
-            f"{row['label']:<14} {row['mode']:<13} {hg.n:>4} {hg.max_degree:>6} "
-            f"{row['d']:>2} {colours:>7} {ref_s} {ratio_s} {elapsed:8.3f}"
+            f"{label:<14} {mode:<13} {hg.n:>4} {hg.max_degree:>6} "
+            f"{d:>2} {colours:>7} {reference:9.3f} {ratio_s} {elapsed:8.3f}"
         )
         out_rows.append(
             {
-                "label": row["label"],
-                "mode": row["mode"],
+                "label": label,
+                "mode": mode,
                 "n": hg.n,
                 "max_degree": hg.max_degree,
-                "d": row["d"],
+                "d": d,
                 "colours": colours,
                 "reference": reference,
                 "ratio": ratio,
                 "seconds": round(elapsed, 6),
             }
         )
-    _write_record(args, None, {"suite": args.suite, "rows": out_rows}, started)
-    return 0
+    return 0, {"suite": args.suite, "rows": out_rows}
 
 
 # -- parser -----------------------------------------------------------------------
-
-
-def _add_instance(p: argparse.ArgumentParser) -> None:
-    p.add_argument("instance", help="instance file path, or - for stdin")
-
-
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", metavar="PATH", default=None, help="write a JSON run record")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="emit a benchmark instance")
+    def command(name: str, func: Any, help: str, instance: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        if instance:
+            p.add_argument("instance", help="instance file path, or - for stdin")
+        p.set_defaults(func=func, seed=0)
+        return p
+
+    p = command("generate", _cmd_generate, "emit a benchmark instance", instance=False)
     p.add_argument("--family", required=True, choices=["complete", "grid", "random", "linear"])
     p.add_argument("--n", type=int, required=True, help="vertices (side length for grid)")
     p.add_argument("--u", type=int, default=3, help="edge size (ignored by grid)")
@@ -467,89 +431,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write instance here instead of stdout")
     p.add_argument("--force", action="store_true", help="ignore the size guard")
-    _add_json(p)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("sunflower", help="greedy sunflower decomposition")
-    _add_instance(p)
+    p = command("sunflower", _cmd_sunflower, "greedy sunflower decomposition")
     p.add_argument("--petals", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_sunflower, seed=0)
 
-    p = sub.add_parser("maxcut", help="local-search vertex partition")
-    _add_instance(p)
+    p = command("maxcut", _cmd_maxcut, "local-search vertex partition")
     p.add_argument("--parts", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write 'vertex part' lines here")
-    _add_json(p)
-    p.set_defaults(func=_cmd_maxcut)
 
-    p = sub.add_parser("color", help="run a colouring mode and verify the result")
-    _add_instance(p)
+    p = command("color", _cmd_color, "run a colouring mode and verify the result")
     p.add_argument("--mode", choices=list(MODES), default="theorem")
     p.add_argument("--defect", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="resampling budget (default 1000n)")
     p.add_argument("--out", default=None, help="write 'vertex colour' lines here")
-    _add_json(p)
-    p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("verify", help="check an assignment file against a defect bound")
-    _add_instance(p)
+    p = command("verify", _cmd_verify, "check an assignment file against a defect bound")
     p.add_argument("assignment", help="file of 'vertex colour' lines")
     p.add_argument("--defect", type=int, default=0)
-    _add_json(p)
-    p.set_defaults(func=_cmd_verify, seed=0)
 
-    p = sub.add_parser("exact", help="brute-force minimum palette size")
-    _add_instance(p)
+    p = command("exact", _cmd_exact, "brute-force minimum palette size")
     p.add_argument("--defect", type=int, default=0)
     p.add_argument("--limit", type=int, default=None, help="largest palette to try (default n)")
     p.add_argument("--force", action="store_true", help="ignore the size guard")
-    _add_json(p)
-    p.set_defaults(func=_cmd_exact, seed=0)
 
-    p = sub.add_parser("probe", help="Monte Carlo estimate of a colouring event")
-    _add_instance(p)
+    p = command("probe", _cmd_probe, "Monte Carlo estimate of a colouring event")
     p.add_argument("--what", choices=["mono-edge", "bad-vertex"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--defect", type=int, default=0)
     p.add_argument("--vertex", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    _add_json(p)
-    p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("bench", help="run a built-in suite and print a results table")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(_SUITES)}")
+    p = command("bench", _cmd_bench, "run a built-in suite and print a results table", instance=False)
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=None, help="run only the first N instances")
-    _add_json(p)
-    p.set_defaults(func=_cmd_bench)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", metavar="PATH", default=None, help="write a JSON run record")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand: parse, load and hash the instance, run, write the record."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        if getattr(args, "command", None) == "generate" and args.edges is None:
-            args.edges = 2 * args.n
-        return args.func(args)
+        hg, digest = _load_instance(args.instance) if "instance" in args else (None, None)
+        code, outcome = args.func(args, hg)
+        if outcome is not None and args.json:
+            _write_record(args, outcome.pop("instance_digest", digest), outcome, started)
+        sys.stdout.flush()
+        return code
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        return _CLOSED_PIPE
     except (ValueError, OSError) as exc:  # malformed files and size guards included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    if code == _CLOSED_PIPE:
+        # the interpreter flushes stdout again on exit; send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,14 @@
-"""Command line behaviour: artifacts, exit codes, JSON run records."""
+"""Command line behaviour: artifacts, exit codes, JSON run records, a closed stdout, the README examples."""
 
+import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +225,42 @@ class TestBench:
         assert main(["bench", "--suite", "nope"]) == 2
 
 
+# subcommand: (argv, the record's params but for "command").  Placeholders name
+# the h3 instance, an assignment file and an --out path
+RECORD_CASES = {
+    "generate": (
+        ["generate", "--family", "complete", "--n", "6", "--u", "3", "--out", "{out}"],
+        {"family": "complete", "n": 6, "u": 3, "r": 2, "max_degree": 6, "edges": 12, "seed": 0,
+         "out": "{out}", "force": False},
+    ),
+    "sunflower": (["sunflower", "{h3}", "--petals", "3"], {"instance": "{h3}", "petals": 3, "seed": 0}),
+    "maxcut": (
+        ["maxcut", "{h3}", "--parts", "2", "--seed", "4"],
+        {"instance": "{h3}", "parts": 2, "seed": 4, "out": None},
+    ),
+    "color": (
+        ["color", "{h3}", "--mode", "greedy-proper", "--defect", "0", "--out", "{out}"],
+        {"instance": "{h3}", "mode": "greedy-proper", "defect": 0, "seed": 0, "budget": None, "out": "{out}"},
+    ),
+    "verify": (
+        ["verify", "{h3}", "{assignment}", "--defect", "1"],
+        {"instance": "{h3}", "assignment": "{assignment}", "defect": 1, "seed": 0},
+    ),
+    "exact": (
+        ["exact", "{h3}", "--defect", "1", "--limit", "3"],
+        {"instance": "{h3}", "defect": 1, "limit": 3, "force": False, "seed": 0},
+    ),
+    "probe": (
+        ["probe", "{h3}", "--what", "mono-edge", "--k", "3", "--trials", "500", "--seed", "2"],
+        {"instance": "{h3}", "what": "mono-edge", "k": 3, "defect": 0, "vertex": 0, "trials": 500, "seed": 2},
+    ),
+    "bench": (
+        ["bench", "--suite", "grid-small", "--limit", "1", "--seed", "1"],
+        {"suite": "grid-small", "seed": 1, "limit": 1},
+    ),
+}
+
+
 class TestRecordsAndErrors:
     def test_records_differ_only_in_wall_clock(self, h3, tmp_path):
         masked = []
@@ -230,13 +272,42 @@ class TestRecordsAndErrors:
             masked.append(re.sub(r'"wall_clock_s": [0-9.e+-]+', '"wall_clock_s": 0', text))
         assert masked[0] == masked[1] == masked[2]
 
-    def test_record_fields(self, h3, tmp_path):
+    @pytest.mark.parametrize("command", sorted(RECORD_CASES))
+    def test_record_fields(self, command, h3, tmp_path):
+        """Every subcommand writes the seven fields, its parsed flags as params, and its input's digest."""
+        argv, params = RECORD_CASES[command]
+        paths = {"h3": h3, "assignment": str(tmp_path / "a.col"), "out": str(tmp_path / "out.txt")}
+        (tmp_path / "a.col").write_text("".join(f"{v} {v % 4}\n" for v in range(14)))
         rec = tmp_path / "r.json"
-        main(["color", h3, "--mode", "greedy-proper", "--defect", "0", "--json", str(rec)])
+        assert main([a.format(**paths) for a in argv] + ["--json", str(rec)]) == 0
         record = json.loads(rec.read_text())
-        for field in ("schema", "command", "params", "seed", "instance_digest", "outcome", "wall_clock_s"):
-            assert field in record
-        assert record["outcome"]["valid"] is True
+        assert set(record) == {"schema", "command", "params", "seed", "instance_digest", "outcome", "wall_clock_s"}
+        assert record["schema"] == 1 and record["command"] == command
+        expected = {k: v.format(**paths) if isinstance(v, str) else v for k, v in params.items()}
+        assert record["params"] == {"command": command, **expected}
+        assert record["seed"] == params["seed"]
+        assert isinstance(record["outcome"], dict)
+        if command in ("color", "verify"):
+            assert record["outcome"]["valid"] is True
+        assert isinstance(record["wall_clock_s"], float) and record["wall_clock_s"] >= 0
+        source = {"generate": paths["out"], "bench": None}.get(command, h3)
+        digest = source and "sha256:" + hashlib.sha256(open(source, "rb").read()).hexdigest()
+        assert record["instance_digest"] == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["color", "{bad}", "--defect", "0"],
+        ["generate", "--family", "complete", "--n", "1000", "--u", "5"],
+        ["exact", "{big}", "--defect", "0"],
+        ["bench", "--suite", "graphs-small", "--limit", "-1"],
+    ], ids=["malformed-instance", "generate-size-guard", "exact-size-guard", "negative-limit"])
+    def test_usage_error_leaves_no_record(self, argv, tmp_path, capsys):
+        paths = {"bad": str(tmp_path / "bad.txt"), "big": str(tmp_path / "big.txt")}
+        (tmp_path / "bad.txt").write_text("3 2 2\n0 1\n0 0\n")
+        (tmp_path / "big.txt").write_text(format_instance(Hypergraph(17, 2, [(0, 1)])))
+        rec = tmp_path / "r.json"
+        assert main([a.format(**paths) for a in argv] + ["--json", str(rec)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not rec.exists()
 
     def test_missing_file(self):
         assert main(["color", "/nonexistent/x.txt", "--defect", "0"]) == 2
@@ -253,8 +324,83 @@ class TestRecordsAndErrors:
         assert main(["color", "--defect"]) == 2
 
     def test_stdin_instance(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("3 1 2\n0 1\n"))
         assert main(["exact", "-", "--defect", "0"]) == 0
         assert "(d=0): 2" in capsys.readouterr().out
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--suite", "graphs-small", "--limit", "1"],
+        ["generate", "--family", "complete", "--n", "6", "--u", "3"],
+        ["exact", "{c5}", "--defect", "0"],
+    ], ids=["bench", "generate", "exact"])
+    def test_closed_pipe_ends_quietly_with_141(self, argv, c5, tmp_path, monkeypatch, capsys):
+        rec = tmp_path / "r.json"
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main([a.format(c5=c5) for a in argv] + ["--json", str(rec)]) == 141
+        assert capsys.readouterr().err == ""
+        assert not rec.exists()
+
+    def test_entry_exits_141_without_a_traceback(self):
+        """A reader that closes at once: main's flush fails, then the exit flush must stay quiet."""
+        src = Path(defcol.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffered, as in a shell
+        env["PYTHONPATH"] = str(src)
+        argv = ["bench", "--suite", "graphs-small", "--limit", "1"]  # two lines, held in the buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from defcol.cli import entry; entry()", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert err == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """(command line, lines shown under it) for each ``$ defcol`` line of the README's CLI section."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            if line.startswith("$ defcol "):
+                examples.append((line.removeprefix("$ defcol "), []))
+            else:
+                examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_cli_examples_match_the_cli(tmp_path, monkeypatch, capsys):
+    """Each example runs in order in one directory and prints what the README shows.
+
+    ``...`` ends what a listing shows; bench's seconds column is masked.
+    """
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_examples()
+    assert [command.split()[0] for command, _ in examples] == [
+        "generate", "color", "verify", "generate", "exact", "probe", "sunflower", "bench",
+    ]
+    for command, shown in examples:
+        command, _, pipe = command.partition(" | ")
+        capsys.readouterr()
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        if pipe:
+            assert pipe == "tail -1"
+            out = out[-1:]
+        if "..." in shown:
+            shown, out = shown[: shown.index("...")], out[: shown.index("...")]
+        if command.startswith("bench"):
+            shown, out = [line[:-9] for line in shown], [line[:-9] for line in out]
+        assert out == shown, command

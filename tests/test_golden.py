@@ -1,4 +1,4 @@
-"""Golden records: seeded ``color``, ``maxcut``, ``sunflower``, ``probe`` and ``generate`` runs match frozen digests.
+"""Golden records: seeded runs of every ``defcol`` subcommand match frozen digests.
 
 Each case writes a small seeded instance, runs ``defcol color`` on it
 through :func:`defcol.cli.main`, and hashes what a user gets back:
@@ -31,6 +31,13 @@ The ``generate`` digests cover the instance text ``defcol generate`` writes
 to stdout, and the stdout of an ``--out`` run followed by the file; they
 were frozen from the sampler that called ``random.sample`` once per
 candidate edge in pure Python, before it replayed the stream in numpy.
+
+The ``verify``, ``exact``, ``generate --json`` and ``bench`` digests cover
+the record (minus ``wall_clock_s``, the path-valued params and, for
+``bench``, each row's ``seconds``) followed by stdout (``bench`` without its
+seconds column, ``generate`` followed by the file it wrote); they were
+frozen from the CLI whose eight subcommands each started the clock, loaded
+the instance and wrote the record themselves, before one runner did.
 
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
@@ -213,17 +220,27 @@ SUBCOMMAND_DIGESTS = {
 }
 
 
+def run_record(argv, tmp_path, capsys, *drop):
+    """(exit code, record minus ``wall_clock_s`` and the params in drop, stdout) of one call."""
+    record_path = tmp_path / "record.json"
+    capsys.readouterr()
+    code = main([*argv, "--json", str(record_path)])
+    record = json.loads(record_path.read_text())
+    del record["wall_clock_s"]
+    for param in drop:
+        del record["params"][param]
+    return code, record, capsys.readouterr().out
+
+
 def run_subcommand(spec, argv, tmp_path, capsys):
     """Digest of the record, stdout and ``--out`` file of one ``defcol`` call on spec's instance."""
     instance = tmp_path / "instance.txt"
     instance.write_text(defcol.format_instance(build(spec)))
-    record_path, out = tmp_path / "record.json", tmp_path / "out.txt"
-    capsys.readouterr()
-    assert main([argv[0], str(instance), *argv[1:], "--json", str(record_path)]) == 0
-    record = json.loads(record_path.read_text())
-    del record["wall_clock_s"], record["params"]["instance"]
-    record["params"].pop("out", None)
-    text = json.dumps(record, sort_keys=True) + "\n" + capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    drop = ("instance", "out") if "--out" in argv else ("instance",)
+    code, record, stdout = run_record([argv[0], str(instance), *argv[1:]], tmp_path, capsys, *drop)
+    assert code == 0
+    text = json.dumps(record, sort_keys=True) + "\n" + stdout
     text += out.read_text() if out.exists() else ""
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -321,3 +338,97 @@ def test_generate_matches_frozen_digests(case_id, tmp_path, capsys):
     assert main(generate_argv(case_id) + ["--out", str(out)]) == 0
     written = capsys.readouterr().out.replace(str(out), "OUT") + out.read_text()
     assert (sha256(stdout), sha256(written)) == GENERATE_DIGESTS[case_id]
+
+
+VERIFY_CASES = {
+    # id: (instance, colour of vertex v, defect, exit code).  On this instance
+    # v % 4 leaves every mono degree at most 1 and v % 3 leaves five vertices at 2 or 3
+    "verify-valid": (("random", 30, 3, 9, 70, 1), lambda v: v % 4, 1, 0),
+    "verify-violating": (("random", 30, 3, 9, 70, 1), lambda v: v % 3, 1, 1),
+    "verify-huge-labels": (("random", 30, 3, 9, 70, 1), lambda v: 2**70 + v % 4, 0, 1),
+}
+
+VERIFY_DIGESTS = {
+    "verify-huge-labels": "eb858b55510a16e9e65e82ca1c868b366ead037763ada8d757c864b9212930f8",
+    "verify-valid": "52dba78de4a7df99c0e1ee406c95efdd0129500ef75d03b4d7cd1f13338d2e9e",
+    "verify-violating": "38fe64c25cddff55502942c184871cc8f0d976a7794efca1c228bfec64ce123d",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(VERIFY_CASES))
+def test_verify_matches_frozen_digests(case_id, tmp_path, capsys):
+    spec, colour, d, expected_code = VERIFY_CASES[case_id]
+    hg = build(spec)
+    instance, assignment = tmp_path / "instance.txt", tmp_path / "assignment.txt"
+    instance.write_text(defcol.format_instance(hg))
+    assignment.write_text("".join(f"{v} {colour(v)}\n" for v in range(hg.n)))
+    argv = ["verify", str(instance), str(assignment), "--defect", str(d)]
+    code, record, stdout = run_record(argv, tmp_path, capsys, "instance", "assignment")
+    assert code == expected_code
+    assert sha256(json.dumps(record, sort_keys=True) + "\n" + stdout) == VERIFY_DIGESTS[case_id]
+
+
+EXACT_CASES = {
+    # id: (instance, defect, limit).  K_5^(3) needs 2 colours at d=1 and 3 at d=0
+    "exact-complete-5-3": (("complete", 5, 3), 1, None),
+    "exact-none-under-limit": (("complete", 5, 3), 0, 2),
+}
+
+EXACT_DIGESTS = {
+    "exact-complete-5-3": "e5ff1abaed808ea3940b150db0f6df89baaab2eaa6725991d3794d9e6021a8ac",
+    "exact-none-under-limit": "ebe900a35889af84b55a39150e62885fe0e1b901fbd8c5c987cbb432b46ee4bf",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(EXACT_CASES))
+def test_exact_matches_frozen_digests(case_id, tmp_path, capsys):
+    spec, d, limit = EXACT_CASES[case_id]
+    instance = tmp_path / "instance.txt"
+    instance.write_text(defcol.format_instance(build(spec)))
+    argv = ["exact", str(instance), "--defect", str(d)]
+    argv += ["--limit", str(limit)] if limit is not None else []
+    code, record, stdout = run_record(argv, tmp_path, capsys, "instance")
+    assert code == 0
+    assert sha256(json.dumps(record, sort_keys=True) + "\n" + stdout) == EXACT_DIGESTS[case_id]
+
+
+GENERATE_RECORD_CASES = {
+    # id: flags.  Neither passes --edges, so the records lock its default of 2n
+    "generate-record-complete": ["--family", "complete", "--n", "7", "--u", "3"],
+    "generate-record-grid": ["--family", "grid", "--n", "4", "--r", "2"],
+}
+
+GENERATE_RECORD_DIGESTS = {
+    "generate-record-complete": "45b3bf07fc31506b806835cdb41d77143dae6b05b6f0bff898d9b1d58b4da6a5",
+    "generate-record-grid": "e734610d6e793d4db96ea6c59165feb4931a046992befc5c2bd1f1ebc2bf798c",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(GENERATE_RECORD_CASES))
+def test_generate_record_matches_frozen_digest(case_id, tmp_path, capsys):
+    out = tmp_path / "instance.txt"
+    argv = ["generate", *GENERATE_RECORD_CASES[case_id], "--out", str(out)]
+    code, record, stdout = run_record(argv, tmp_path, capsys, "out")
+    assert code == 0
+    text = json.dumps(record, sort_keys=True) + "\n" + stdout.replace(str(out), "OUT") + out.read_text()
+    assert sha256(text) == GENERATE_RECORD_DIGESTS[case_id]
+
+
+BENCH_DIGESTS = {
+    # suite: digest of the record without each row's seconds, then stdout
+    # without its seconds column
+    "graphs-small": "6b05feb16ab60f5f740a82e18c91b177e57a35408f69d27211c84147ae6ba2bc",
+    "grid-small": "3aa350f972780728c5330b7c504311b34d535397864bf13ef4f9f0878a01baff",
+    "linear3-small": "db2a078281bbf8870aa10f92d5f4bf9d9932276095e599a41bb69bf496fa7b77",
+    "uniform3-small": "682ed2b94b6d109ef7af0a81b4dc07a8ee8826d3d543541c21d09dee48fdb3ab",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BENCH_DIGESTS))
+def test_bench_matches_frozen_digests(suite, tmp_path, capsys):
+    code, record, stdout = run_record(["bench", "--suite", suite], tmp_path, capsys)
+    assert code == 0
+    for row in record["outcome"]["rows"]:
+        del row["seconds"]
+    table = "".join(line[: -len(" seconds")] + "\n" for line in stdout.splitlines())
+    assert sha256(json.dumps(record, sort_keys=True) + "\n" + table) == BENCH_DIGESTS[suite]
