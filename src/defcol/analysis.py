@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, mono_counts
+from .engine import Colouring, _check_seed, mono_counts
 from .generators import coords_to_index, grid, index_to_coords
 from .hypergraph import Hypergraph, _runs
 
@@ -154,8 +154,11 @@ def exact_defective_chromatic(
     colouring is proper).
 
     Raises:
+        ValueError: if the cap is negative.
         SizeGuardError: for n > 16 unless force is set.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     _guard(hg.n, force)
     if limit is None:
         limit = max(1, hg.n)
@@ -296,6 +299,7 @@ def probe_mono_edge(hg: Hypergraph, k: int, trials: int, seed: int = 0) -> Probe
         raise ValueError("needs at least one edge")
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1 and trials >= 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=(trials, hg.u), dtype=np.int32)
     hits = (draws == draws[:, :1]).all(axis=1)
@@ -315,6 +319,7 @@ def probe_bad_vertex(
         raise ValueError(f"vertex {v} outside 0..{hg.n - 1}")
     if k < 1 or trials < 1 or d < 0:
         raise ValueError("need k >= 1, trials >= 1 and d >= 0")
+    _check_seed(seed)
     edges = hg.edge_array()
     through = edges[(edges == v).any(axis=1)]
     support = np.union1d(through, [v])  # sorted, and {v} alone when v is isolated

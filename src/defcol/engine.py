@@ -29,8 +29,16 @@ RNG stream are those of one redraw at a time.  One vectorised kernel,
 batch of rows.  One vector is counted by a ``bincount``.  A batch is
 transposed once to vertex-major (n, B), so an edge slot's colours are one
 gather of contiguous length-B rows, and counted per vertex and row by one
-``reduceat`` over a CSR vertex -> edge index; the resample loop builds that
-index at most once, on its first batch of more than one row.
+``reduceat`` over a CSR vertex -> edge index.
+
+The resample loop reads flags, not counts, and from B = 64 rows on it takes
+them bit-sliced, 64 rows to a uint64 word: each bit plane of the labels is
+packed into words, an edge is monochromatic where no plane tells its slots
+apart, and "at least t of a vertex's edges" is t-1 OR-accumulates and one
+OR-reduce along a (max degree, n) incidence padded with a zero sentinel edge.
+The flags equal the counting kernel's.  The loop builds each index at most
+once: the CSR one on its first batch of 2-63 rows, the padded one on its
+first batch of 64 or more.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,6 +157,12 @@ _Probe = tuple[Colouring, tuple[int, ...] | None, RoundTrace]
 # -- elementary operations ----------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed, which numpy's generators reject with a message that does not name it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
     """Independent uniform colour draws for every vertex."""
     if k < 1:
@@ -176,7 +190,25 @@ def _batch_index(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return edge_of, nonempty, (np.cumsum(degrees) - degrees)[nonempty]
 
 
-_BatchIndex = Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+def _padded_incidence(edges: np.ndarray, n: int) -> np.ndarray:
+    """The (max degree, n) edge ids of each vertex, in increasing order, padded with the sentinel id m."""
+    edge_of, degrees = _incidence(edges, n)
+    vertex = np.repeat(np.arange(n), degrees)
+    rank = np.arange(len(edge_of)) - (np.cumsum(degrees) - degrees)[vertex]
+    padded = np.full((int(degrees.max(initial=0)), n), len(edges), dtype=np.int64)
+    padded[rank, vertex] = edge_of
+    return padded
+
+
+class _Index(NamedTuple):
+    """The vertex -> edge layouts of one edge array that batch kernels read, each built on its first call."""
+
+    csr: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]  # :func:`_batch_index`, for 2-63 rows
+    padded: Callable[[], np.ndarray]  # :func:`_padded_incidence`, for bit-sliced batches
+
+
+def _index(edges: np.ndarray, n: int) -> _Index:
+    return _Index(cache(partial(_batch_index, edges, n)), cache(partial(_padded_incidence, edges, n)))
 
 
 def _slots(edges: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
@@ -188,17 +220,17 @@ def _slots(edges: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
     return map(values.__getitem__ if values.ndim == 1 else partial(values.take, axis=0), edges.T)
 
 
-def _edge_counts(edges: np.ndarray, mask: np.ndarray, n: int, index: _BatchIndex) -> np.ndarray:
+def _edge_counts(edges: np.ndarray, mask: np.ndarray, n: int, index: _Index) -> np.ndarray:
     """Per vertex (and row), how many edges picked by ``mask`` contain it: (n,) from (m,), (n, B) from (m, B).
 
     One row is counted by one ``bincount``; B rows by one ``reduceat`` over
-    the CSR incidence ``index()``, where only vertices of degree > 0 start a
+    the CSR incidence ``index.csr()``, where only vertices of degree > 0 start a
     run (``reduceat`` reads an empty run as its next element) and the rest
     stay 0.
     """
     if mask.ndim == 1:
         return np.bincount(np.concatenate([slot[mask] for slot in edges.T]), minlength=n)
-    edge_of, nonempty, starts = index()
+    edge_of, nonempty, starts = index.csr()
     counts = np.zeros((n, mask.shape[1]), dtype=np.int64)
     if len(starts):
         counts[nonempty] = np.add.reduceat(mask.take(edge_of, axis=0), starts, axis=0)
@@ -219,8 +251,8 @@ def _mono_edges(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return mono
 
 
-def _mono_counts(edges: np.ndarray, colours: np.ndarray, n: int, index: _BatchIndex) -> np.ndarray:
-    """:func:`mono_counts`, counting B > 1 rows through the CSR incidence ``index()``."""
+def _mono_counts(edges: np.ndarray, colours: np.ndarray, n: int, index: _Index) -> np.ndarray:
+    """:func:`mono_counts`, counting B > 1 rows through the CSR incidence ``index.csr()``."""
     counts = _edge_counts(edges, _mono_edges(edges, _vertex_major(colours)), n, index)
     return counts.T.reshape(colours.shape)
 
@@ -233,19 +265,127 @@ def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
     (B, n) rows; the counts have the same shape.  Only label equality
     matters.
     """
-    return _mono_counts(edges, colours, n, partial(_batch_index, edges, n))
+    return _mono_counts(edges, colours, n, _index(edges, n))
+
+
+# -- the bit-sliced kernel: 64 rows per machine word -------------------------------
+
+# Rows per uint64 word, and the batch size from which the flags of integer
+# rows are computed bit-sliced, so that every word but the last is full.
+# Terrible flags on the adaptive-resample a35 instance (n=35, m=199), 2 vCPU,
+# us per row, counting against bit-sliced: 16.4 / 29.1 at B=2, 5.2 / 11.8 at
+# 8, 6.0 / 5.9 at 16, 4.9 / 2.7 at 32, 3.3 / 1.3 at 64, 3.5 / 0.47 at 256 and
+# 3.9 / 0.30 at 1024.  Below 64 rows the counting kernel stays: it is the
+# cheaper one up to B=8, where sparse rounds, which miss every few redraws and
+# then restart B at 1, make nearly all of their calls.
+_WORD_ROWS = 64
+
+
+def _is_wide(colours: np.ndarray) -> bool:
+    """Whether the flags of these rows come from the bit-sliced kernel: B >= 64 rows of integer labels."""
+    return colours.ndim == 2 and len(colours) >= _WORD_ROWS and colours.dtype.kind in "iu"
+
+
+def _mono_words(edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, W) words whose bit b says whether row b colours the edge monochromatically.
+
+    Each bit plane of the (B, n) labels is packed little-endian into (n, W)
+    uint64 words, W = ceil(B/64), so row b sits at bit b % 64 of word b // 64.
+    An edge is monochromatic in a row when no plane tells its slots apart.
+    Labels are read as 64-bit patterns, so any integer labels work; the
+    padding bits past B are 0 in every plane and are never unpacked.
+    """
+    rows = rows.astype(np.int64, copy=False).view(np.uint64)
+    top = int(rows.max(initial=0))
+    labels = rows.T.astype(np.min_scalar_type(top), order="C")  # (n, B), one byte per label below 256
+    planes, width = top.bit_length(), -(-len(rows) // _WORD_ROWS)
+    packed = np.zeros((labels.shape[0], planes, 8 * width), dtype=np.uint8)
+    for p in range(planes):
+        packed[:, p, : -(-len(rows) // 8)] = np.packbits((labels >> p) & 1 != 0, axis=1, bitorder="little")
+    slots = _slots(edges, packed.view("<u8"))  # (n, planes, W) words, gathered as (m, planes, W)
+    first = next(slots)
+    differ = np.zeros(first.shape, dtype=np.uint64)
+    for at in slots:
+        differ |= at ^ first
+    return ~np.bitwise_or.reduce(differ, axis=1)
+
+
+def _at_least(words: np.ndarray, padded: np.ndarray, t: int) -> np.ndarray:
+    """(n, W) words: for each vertex and row, whether at least t of the vertex's edges have their bit set.
+
+    ``words`` holds one (m, W) row per edge; the sentinel id m that pads
+    ``padded`` reads a zero row appended here.  Round j (1 <= j < t) keeps
+    the bits of the vertex's (j+1)-th edge slot onwards that follow j set
+    bits, by one OR-accumulate along the slots, and a last OR-reduce asks
+    whether the t-th set bit exists; each round reads only the Δ-t+1 slots
+    that can still reach t.
+    """
+    sentinel = np.zeros((1, words.shape[1]), dtype=np.uint64)
+    gathered = np.concatenate([words, sentinel]).take(padded, axis=0)  # (Δ, n, W)
+    if t <= 0:
+        return np.full(gathered.shape[1:], ~np.uint64(0))
+    if t > len(gathered):
+        return np.zeros(gathered.shape[1:], dtype=np.uint64)
+    span = len(gathered) - t + 1
+    reach = gathered[:span]
+    for j in range(1, t):
+        reach = np.bitwise_or.accumulate(reach, axis=0) & gathered[j : j + span]
+    return np.bitwise_or.reduce(reach, axis=0)
+
+
+def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
+    """(n, W) words as the (rows, n) boolean flags they pack."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).T
+    return np.unpackbits(octets, axis=0, count=rows, bitorder="little").view(bool)
+
+
+def _bit_sliced_classify(
+    rows: np.ndarray, edges: np.ndarray, d: int, threshold: float, padded: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_classify_arrays` on B >= 64 integer rows, 64 rows per word.
+
+    A vertex is bad when at least d+1 of its edges are monochromatic, an
+    edge all-bad when each of its slots is bad, and a vertex terrible when
+    at least floor(threshold)+1 of its edges are all-bad: for an integer
+    count, exactly when the count exceeds the threshold.
+    """
+    bad = _at_least(_mono_words(edges, rows), padded, d + 1)
+    slots = _slots(edges, bad)
+    all_bad = next(slots)
+    for at in slots:
+        all_bad &= at
+    # below 0 every count passes; at or past the degree cap (or NaN) none does
+    cut = 0 if threshold < 0 else math.floor(threshold) + 1 if threshold < len(padded) else len(padded) + 1
+    return _unpack(bad, len(rows)), _unpack(_at_least(all_bad, padded, cut), len(rows))
+
+
+def _over_defect(edges: np.ndarray, colours: np.ndarray, n: int, d: int, index: _Index) -> np.ndarray:
+    """Per vertex (and row), whether its monochromatic degree exceeds d: naive-lll's ``violated``."""
+    if _is_wide(colours):
+        return _unpack(_at_least(_mono_words(edges, colours), index.padded(), d + 1), len(colours))
+    return _mono_counts(edges, colours, n, index) > d
 
 
 def _classify_arrays(
     colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float,
-    index: _BatchIndex | None = None,
+    index: _Index | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bad mask, terrible mask) for an (n,) colour vector or for (B, n) rows.
 
-    ``index`` supplies the CSR incidence of ``edges`` for B > 1 rows; by
-    default each such call builds its own.
+    ``index`` supplies the incidence layouts of ``edges`` for B > 1 rows; by
+    default each such call builds its own.  B >= 64 rows of integer labels
+    are classified bit-sliced, the rest by counting.
     """
-    index = index or partial(_batch_index, edges, n)
+    index = index or _index(edges, n)
+    if _is_wide(colours):
+        return _bit_sliced_classify(colours, edges, d, threshold, index.padded())
+    return _counted_classify(colours, edges, n, d, threshold, index)
+
+
+def _counted_classify(
+    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float, index: _Index,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_classify_arrays` by counting, for any labels: a ``bincount`` or ``reduceat`` per mask."""
     bad = _edge_counts(edges, _mono_edges(edges, _vertex_major(colours)), n, index) >= d + 1
     slots = _slots(edges, bad)
     all_bad = next(slots)
@@ -296,15 +436,15 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
 
 
 # Cap on B * max(m, n), the edge-rows (or vertex-rows, on instances with more
-# vertices than edges) one speculative batch holds.  Measured on the k=2 probe
-# of the adaptive-resample instances (m = 199-228, so 143-164 rows at 2^15), 2
-# vCPU, caps interleaved over 7 rounds, median (fastest) us per resample: 5.7
-# (5.0) at 2^13, 5.2 (4.1) at 2^14, 5.7 (3.7) at 2^15, 4.5 (3.8) at 2^16 and
-# 5.9 (4.1) at 2^17, against 15.8 (14.8) for the kernel that offset each row
-# into one flat bincount, at 2^13.  The vertex-major kernel's fastest rounds
-# bottom out at 2^15-2^16; past that its (B, m) working arrays spill out of
-# cache and a miss wastes more rows.
-_BATCH_EDGE_ROWS = 2**15
+# vertices than edges) one speculative batch holds.  With the bit-sliced
+# kernel, measured by ``perfbench/run.py --workload adaptive-resample --seed 7
+# --seconds 8`` (m = 199-228, so 1149-1317 rows at 2^18), 2 vCPU, caps
+# interleaved over 3 rounds, median `wall_s` and `peak_rss_mb`: 0.252 s and
+# 40.6 MB at 2^15, 0.177 s and 40.7 MB at 2^16, 0.159 s and 41.1 MB at 2^17,
+# 0.152 s and 42.1 MB at 2^18, 0.161 s and 43.7 MB at 2^19, 0.140 s and
+# 47.7 MB at 2^20.  Past 2^18 the time stops falling (the spread between
+# rounds is 0.03-0.04 s there) while peak memory keeps growing with B.
+_BATCH_EDGE_ROWS = 2**18
 
 
 def _resample(
@@ -325,8 +465,9 @@ def _resample(
     the same state as B calls of size |S| (numpy takes bounded integers
     from the bit stream one at a time and keeps a spare 32-bit half in the
     generator state), and classifies all B rows in one ``violated`` call
-    on a (B, n) array; the kernel counts them vertex-major through a CSR
-    incidence that the caller builds on the first such call.  Row i is
+    on a (B, n) array; the kernel counts 2-63 rows vertex-major and
+    bit-slices 64 or more, through incidence layouts that the caller
+    builds on the first call that reads each.  Row i is
     kept while every earlier row flags a vertex whose support is S; the
     first row that flags nothing, or whose lowest flagged vertex has
     another support, is the last one kept (supports are computed in that
@@ -411,7 +552,7 @@ def nibble_round(
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
 
     edges = hg.edge_array()
-    index = cache(partial(_batch_index, edges, hg.n))  # built by the first batch of B > 1 rows
+    index = _index(edges, hg.n)  # each layout built by the first batch that reads it
     colours, resamples, succeeded = _resample(
         hg, k, seed, budget,
         lambda c: _classify_arrays(c, edges, hg.n, d, threshold, index)[1],
@@ -447,6 +588,7 @@ def linear_lll_colouring(
         raise ValueError("needs uniformity >= 2")
     if d < 0:
         raise ValueError(f"defect must be >= 0, got {d}")
+    _check_seed(seed)
     if not hg.is_linear():
         raise ValueError("hypergraph is not linear (two edges share two or more vertices)")
     if budget is None:
@@ -454,10 +596,10 @@ def linear_lll_colouring(
 
     k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1))))
     edges, nbr = hg.edge_array(), hg.neighbour_sets()
-    index = cache(partial(_batch_index, edges, hg.n))  # built by the first batch of B > 1 rows
+    index = _index(edges, hg.n)  # each layout built by the first batch that reads it
     colours, resamples, succeeded = _resample(
         hg, k, seed, budget,
-        lambda c: _mono_counts(edges, c, hg.n, index) > d,
+        lambda c: _over_defect(edges, c, hg.n, d, index),
         lambda v: sorted(nbr[v] | {v}),
     )
     if not succeeded:

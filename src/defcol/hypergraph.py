@@ -241,7 +241,7 @@ class Hypergraph:
             raise ValueError("link of a 1-uniform hypergraph is not defined")
         rows = self._edges[(self._edges == v).any(axis=1)]
         rest = rows[rows != v].reshape(-1, self.u - 1)
-        old_of_new = [w for w in range(self.n) if w != v]
+        old_of_new = [*range(v), *range(v + 1, self.n)]
         return Hypergraph._trusted(self.n - 1, self.u - 1, rest - (rest > v)), old_of_new
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", list[int]]:

@@ -119,6 +119,9 @@ class TestExactOracle:
     def test_limit_caps_the_search(self):
         assert exact_defective_chromatic(cycle_graph(5), 0, limit=2) is None
         assert exact_defective_chromatic(cycle_graph(5), 0, limit=3) == 3
+        assert exact_defective_chromatic(cycle_graph(5), 0, limit=0) is None
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            exact_defective_chromatic(cycle_graph(5), 0, limit=-1)
 
     def test_size_guard(self):
         big = Hypergraph(17, 2, [])
@@ -261,6 +264,12 @@ class TestProbes:
             probe_bad_vertex(TRIANGLE, 2, 0, 5, 100)
         with pytest.raises(ValueError):
             probe_bad_vertex(TRIANGLE, 2, -1, 0, 100)
+
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            probe_mono_edge(TRIANGLE, 2, 100, seed=-3)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            probe_bad_vertex(TRIANGLE, 2, 0, 0, 100, seed=-3)
 
     def test_probe_stats_arithmetic(self):
         small = ProbeStats(10_000, 1_000)

@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
     edge_tuples,
@@ -69,7 +69,7 @@ from defcol import (
     within_part_incident_counts,
 )
 from defcol import generators
-from defcol.engine import _classify_arrays, _resample, closed_second_neighbourhood, mono_counts
+from defcol.engine import _classify_arrays, _index, _over_defect, _resample, closed_second_neighbourhood
 from defcol.hypergraph import _read_array
 
 # -- references ------------------------------------------------------------------
@@ -693,6 +693,10 @@ def bounded_degree_edge_lists(draw):
     return n, u, hg.edge_array().tolist()
 
 
+K5 = (5, 2, [list(e) for e in combinations(range(5), 2)])
+K12 = (12, 2, [list(e) for e in combinations(range(12), 2)])
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.one_of(edge_lists(valid=True, max_n=24, max_m=40), bounded_degree_edge_lists()),
@@ -703,12 +707,23 @@ def bounded_degree_edge_lists(draw):
     st.sampled_from([None, 0.0, -1.0]),
     st.integers(0, 2**32),
 )
+# On complete graphs every support is the whole graph, so batches grow past
+# 64 rows and take the bit-sliced kernel: K_5 never succeeds and runs the
+# whole budget (batches of 1, 1, 2, ..., 128 and 45 rows); K_12 succeeds
+# inside a wide batch (at 89 resamples, row 26 of 64, and at 207, row 80 of
+# 128), so the generator is restored and the kept rows drawn again
+@example(case=K5, form="terrible", k=3, d=0, budget=300, threshold=-1.0, seed=0)
+@example(case=K5, form="mono-degree", k=2, d=0, budget=300, threshold=None, seed=0)
+@example(case=K12, form="terrible", k=4, d=1, budget=600, threshold=None, seed=0)
+@example(case=K12, form="mono-degree", k=4, d=2, budget=600, threshold=None, seed=0)
 def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget, threshold, seed):
     """Same colours, resample count and outcome as the serial loop, for both ``violated`` forms.
 
     A threshold below zero flags every vertex, so the probe runs its whole
     budget in ever longer batches; small sparse instances change the
-    target's support mid-probe and so cut batches short.
+    target's support mid-probe and so cut batches short.  The mono-degree
+    form runs ``naive-lll``'s check, which on batches of 64 rows or more
+    is bit-sliced too.
     """
     n, u, edges = case
     hg = Hypergraph(n, u, edges)
@@ -723,10 +738,10 @@ def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget,
         def support(v):
             return closed_second_neighbourhood(hg, v)
     else:
-        nbr = hg.neighbour_sets()
+        nbr, index = hg.neighbour_sets(), _index(array, n)
 
         def violated(rows):
-            return mono_counts(array, rows, n) > d
+            return _over_defect(array, rows, n, d, index)
 
         def support(v):
             return sorted(nbr[v] | {v})

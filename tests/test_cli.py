@@ -165,6 +165,25 @@ class TestExactAndProbe:
         assert main(["exact", c5, "--defect", "0", "--limit", "2"]) == 0
         assert "no 0-defective colouring with <= 2" in capsys.readouterr().out
 
+    def test_exact_negative_limit_is_a_usage_error(self, c5, tmp_path, capsys):
+        rec = tmp_path / "r.json"
+        assert main(["exact", c5, "--defect", "0", "--limit", "-1", "--json", str(rec)]) == 2
+        assert capsys.readouterr() == ("", "error: limit must be >= 0, got -1\n")
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["color", "{c5}", "--mode", "naive-lll", "--defect", "0"],
+        ["probe", "{c5}", "--what", "mono-edge", "--k", "3", "--trials", "10"],
+        ["probe", "{c5}", "--what", "bad-vertex", "--k", "3", "--trials", "10"],
+    ], ids=["naive-lll", "probe-mono-edge", "probe-bad-vertex"])
+    def test_negative_seed_is_a_usage_error_that_names_it(self, argv, c5, capsys):
+        assert main([a.format(c5=c5) for a in argv] + ["--seed", "-3"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -3\n")
+
+    @pytest.mark.parametrize("mode", ["theorem", "adaptive", "graph-maxcut", "greedy-proper"])
+    def test_other_modes_still_take_a_negative_seed(self, mode, c5):
+        assert main(["color", c5, "--mode", mode, "--defect", "0", "--seed", "-3"]) == 0
+
     def test_size_guard_maps_to_usage_error(self, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text(format_instance(Hypergraph(17, 2, [(0, 1)])))

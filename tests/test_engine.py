@@ -125,17 +125,29 @@ def reference_classify(hg, colouring, d, threshold):
 
 
 def assert_rows_match(hg, rows, k, d, threshold):
-    """Every row of the (B, n) kernel calls equals the (n,) call on it and the references."""
+    """Every row of the (B, n) kernel calls equals the (n,) call on it and the references.
+
+    B >= 64 rows of int64 labels take the bit-sliced kernel, so its flags
+    must also equal the counting kernel's on the whole batch, in both
+    ``violated`` forms: terrible flags and mono degree over d.
+    """
     edges, n = hg.edge_array(), hg.n
+    index = engine._index(edges, n)
     counts = mono_counts(edges, rows, n)
     bad, terrible = _classify_arrays(rows, edges, n, d, threshold)
-    assert counts.shape == bad.shape == terrible.shape == rows.shape
+    over = engine._over_defect(edges, rows, n, d, index)
+    assert counts.shape == bad.shape == terrible.shape == over.shape == rows.shape
+    assert engine._is_wide(rows) == (len(rows) >= 64 and rows.dtype == np.int64)
+    counted_bad, counted_terrible = engine._counted_classify(rows, edges, n, d, threshold, index)
+    assert bad.tolist() == counted_bad.tolist() and terrible.tolist() == counted_terrible.tolist()
+    assert over.tolist() == (counts > d).tolist()
     for b, row in enumerate(rows):
         mono, ref_bad, ref_terrible = reference_classify(hg, Colouring(tuple(row.tolist()), k), d, threshold)
         single_bad, single_terrible = _classify_arrays(row, edges, n, d, threshold)
         assert counts[b].tolist() == mono_counts(edges, row, n).tolist() == mono
         assert bad[b].tolist() == single_bad.tolist() == ref_bad
         assert terrible[b].tolist() == single_terrible.tolist() == ref_terrible
+        assert over[b].tolist() == [c > d for c in mono]
 
 
 def labelled_rows(batch, n, k, seed):
@@ -161,10 +173,11 @@ def test_mono_counts_kernel():
         (random_bounded_degree(30, 2, 6, 70, seed=4), 3),
         (complete(6, 3), 2**70),  # labels past int64
     ]
-    for (hg, k), batch in product(cases, (1, 2, 5, 300)):
+    for (hg, k), batch in product(cases, (1, 2, 5, 64, 77, 300)):
         rows = labelled_rows(batch, hg.n, k, batch)
         default = hg.max_degree * 2.0 ** -(hg.u - 1)
-        for d, threshold in product(range(4), (0.0, -1.0, default)) if batch < 300 else [(0, default)]:
+        combos = product(range(4), (0.0, -1.0, default)) if batch < 64 else [(0, default), (1, -0.5)]
+        for d, threshold in combos:
             assert_rows_match(hg, rows, k, d, threshold)
 
 
@@ -177,25 +190,60 @@ def test_batched_kernel_rows_match_single_calls(data):
     pool = list(combinations(sorted(set(range(n)) - isolated), u))
     edges = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=15) if pool else st.just([]))
     hg = Hypergraph(n, u, edges)
-    batch = data.draw(st.integers(2, 300), label="B")
-    k = data.draw(st.sampled_from([2, 3, 2**70]), label="k")
+    batch = data.draw(st.one_of(st.integers(2, 63), st.integers(64, 300)), label="B")
+    k = data.draw(st.sampled_from([2, 3, 5, 2**20, 2**70]), label="k")
     d = data.draw(st.integers(0, 3), label="d")
-    threshold = data.draw(st.sampled_from([0.0, -1.0, hg.max_degree * 2.0 ** -(hg.u - 1)]))
+    default = hg.max_degree * 2.0 ** -(hg.u - 1)
+    threshold = data.draw(st.sampled_from([0.0, -1.0, -0.5, default, hg.max_degree + 0.5]), label="threshold")
     rows = labelled_rows(batch, n, k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
     assert_rows_match(hg, rows, k, d, threshold)
 
 
+WIDE_CASES = [
+    Hypergraph(9, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 5), (1, 5, 6), (3, 5, 6), (0, 2, 6)]),  # 4, 7, 8 isolated
+    Hypergraph(6, 3, []),  # m = 0
+    Hypergraph(5, 1, [(0,), (3,)]),  # u = 1
+    complete(6, 2),
+    random_bounded_degree(30, 3, 8, 70, seed=5),
+    random_bounded_degree(20, 4, 6, 30, seed=6),
+]
+
+
+@pytest.mark.parametrize("hg", WIDE_CASES, ids=["isolated", "no-edges", "u1", "k6", "u3", "u4"])
+def test_bit_sliced_flags_match_the_counting_kernel(hg):
+    """Both ``violated`` forms on B = 64-300 rows, several bit planes, every kind of threshold."""
+    edges, n = hg.edge_array(), hg.n
+    index = engine._index(edges, n)
+    default = hg.max_degree * 2.0 ** -(hg.u - 1)
+    for batch, k in product((64, 65, 71, 100, 127, 128, 200, 300), (2, 3, 5, 2**20)):
+        rows = labelled_rows(batch, n, k, batch * k)
+        assert engine._is_wide(rows)
+        counts = mono_counts(edges, rows, n)
+        for d, threshold in product(range(4), (0.0, -1.0, -0.5, default, hg.max_degree + 0.5)):
+            wide = _classify_arrays(rows, edges, n, d, threshold, index)
+            counted = engine._counted_classify(rows, edges, n, d, threshold, index)
+            assert [a.tolist() for a in wide] == [a.tolist() for a in counted]
+            assert engine._over_defect(edges, rows, n, d, index).tolist() == (counts > d).tolist()
+        # labels are compared as 64-bit patterns: shifting them (below 0 too) changes no flag
+        shifted, plain = (_classify_arrays(r, edges, n, 1, default, index) for r in (rows - 2**40, rows))
+        assert [a.tolist() for a in shifted] == [a.tolist() for a in plain]
+
+
 def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkeypatch):
-    builds = []
-    real = engine._batch_index
-    monkeypatch.setattr(engine, "_batch_index", lambda edges, n: builds.append(n) or real(edges, n))
+    """The CSR index on the first batch of 2-63 rows, the padded incidence on the first of 64 or more."""
+    builds, padded = [], []
+    real_index, real_padded = engine._batch_index, engine._padded_incidence
+    monkeypatch.setattr(engine, "_batch_index", lambda edges, n: builds.append(n) or real_index(edges, n))
+    monkeypatch.setattr(engine, "_padded_incidence", lambda e, n: padded.append(n) or real_padded(e, n))
     hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
     assert nibble_round(hg, 1, 40, budget=300)[2].resamples == 0
     assert linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1)[1].resamples == 0
-    assert builds == []  # one row at a time never needs the index
+    assert builds == padded == []  # one row at a time needs neither
+    assert nibble_round(hg, 1, 2, budget=63)[2].resamples == 63  # batches of 1, 2, 4, ..., 32 rows
+    assert (builds, padded) == ([35], [])
     for _ in range(2):
-        assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # batches of up to 164 rows
-    assert builds == [35, 35]
+        assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # then 64, 128 and 45 rows
+    assert (builds, padded) == ([35, 35, 35], [35, 35])
 
 
 def test_closed_second_neighbourhood_on_a_path():
@@ -331,6 +379,10 @@ class TestLinearLLL:
         hg = random_linear(50, 3, 8, 80, seed=seed)
         colouring, _ = linear_lll_colouring(hg, 1, seed=seed)
         assert verify(hg, colouring, 1).is_defective
+
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1, seed=-3)
 
 
 class TestGraphMaxcut:

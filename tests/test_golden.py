@@ -14,6 +14,12 @@ palette, a probe count or a trace field fails here.  The two
 redrew one support per classification, before it classified batches.
 ``adaptive-default-a35`` was frozen from the kernel that offset each batch
 row into one flat ``bincount``, before it classified batches vertex-major.
+``adaptive-a35-d0-b3000`` was frozen from the vertex-major counting kernel,
+before batches of 64 rows or more were classified bit-sliced.  Those two
+a35 cases are the only ones that run the wide-batch path: their k=2 probes
+spend whole budgets in batches of up to 1317 rows of one bit plane, and the
+d=0 case's k=3 probe succeeds at row 150 of a 512-row batch of two bit
+planes, so the generator is restored and the kept rows drawn again.
 
 The ``maxcut`` and ``sunflower`` digests cover the ``--json`` record
 (minus ``wall_clock_s`` and the path-valued params), then stdout, then
@@ -77,6 +83,11 @@ CASES = {
     # the whole graph, so the k=2 probe spends all of its 35000 resamples in
     # batches that grow to the size cap and are kept whole
     "adaptive-default-a35": (("random", 35, 3, 18, 199, 7000), "adaptive", 1, 0, None, None),
+    # the same instance at d=0: the k=2 probe spends its budget of 3000 in wide
+    # batches of one bit plane, and the k=3 probe succeeds after 661 resamples
+    # inside a batch of two bit planes and at least 64 rows, so its draws are
+    # restored and drawn again
+    "adaptive-a35-d0-b3000": (("random", 35, 3, 18, 199, 7000), "adaptive", 0, 0, 3000, None),
     "naive-lll": (("linear", 30, 3, 6, 40, 2), "naive-lll", 1, 0, None, None),
     "naive-lll-exhausted": (("random", 400, 2, 10, 2000, 7), "naive-lll", 0, 0, 1, None),
     "graph-maxcut": (("random", 50, 2, 12, 150, 0), "graph-maxcut", 1, 3, None, None),
@@ -87,6 +98,7 @@ RECORD_DIGESTS = {
     "adaptive-bisect-failures": "f08518f99ebf560f9312600296169ea68d5b002607365c1f897049f4dbaeb6aa",
     "adaptive-budget": "54d65cbf8ccc63395d89f7e70fd3f77b1944446a28aea929d451e497d8112f17",
     "adaptive-default": "51dcd5f4207718a30cc919d97a9bcaf748d6326eb2bc51525c42beaf9a408a07",
+    "adaptive-a35-d0-b3000": "afc98d6e2296679108edfa3e905a0421d583ef6e5043358bab4ac782fbf35b48",
     "adaptive-default-a35": "949151e20d1b97505fae54982b08cbf71cf2a7e501394fbb21836cea8231036a",
     "adaptive-resample-u2": "aa40b810ed62b798e49aa50fb9fa8f43f21920297255eee5cdb6c505a9e6925b",
     "adaptive-resample-u3": "602f7b14bdf607f641cb66c0fcb4d59199116efe51d895171e0ff22b23f285ae",
@@ -107,6 +119,7 @@ TRACE_DIGESTS = {
     "adaptive-bisect-failures": "eebbc5f30f140ffa63f9654a25c11d762e8c433aed705f4fc3bd27e062122376",
     "adaptive-budget": "26dcd6f4b0447edf6a4a89b99212ece7cca31166d52e2da677cc5de754f74a0e",
     "adaptive-default": "b6f7bfc795f6918990f5ad727fba26b11e71d1b46645b8717b61b21582b3271f",
+    "adaptive-a35-d0-b3000": "91e7f7c2fd7ffe357d4e35d45f446ee3c3e3d4fccaa8623ec30cf8783e8bc24d",
     "adaptive-default-a35": "b4833cefded4631405304d66fb0451e1a984e652a4c00e09a1ef56fed432a284",
     "adaptive-resample-u2": "92198a6aac29aa3d69913e117a3f97dd61a42ccd7d9c3c1384c0fcfab0a9f7c6",
     "adaptive-resample-u3": "0efe784ec7af9eec3c162ebc710c3ef143895a72808da52c93f1a091e39e942e",

@@ -109,6 +109,13 @@ def test_link_of_complete_4_3_is_triangle():
     assert old == [1, 2, 3]
 
 
+@pytest.mark.parametrize("n, v", [(1, 0), (2, 0), (2, 1), (9, 0), (9, 4), (9, 8)])
+def test_link_index_map_is_every_other_vertex_in_order(n, v):
+    _, old = Hypergraph(n, 2, []).link(v)
+    assert type(old) is list
+    assert old == [w for w in range(n) if w != v]
+
+
 def test_link_rejects_unit_uniformity():
     hg = Hypergraph(2, 1, [(0,), (1,)])
     with pytest.raises(ValueError):
