@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, _check_seed, mono_counts
+from .engine import Colouring, _check_covers, _check_seed, mono_counts
 from .generators import coords_to_index, grid, index_to_coords
 from .hypergraph import Hypergraph, _runs
 
@@ -67,8 +67,7 @@ def verify(hg: Hypergraph, colouring: Colouring, d: int) -> DefectReport:
     """
     if d < 0:
         raise ValueError(f"defect must be >= 0, got {d}")
-    if len(colouring.colours) != hg.n:
-        raise ValueError(f"colouring covers {len(colouring.colours)} vertices, hypergraph has {hg.n}")
+    _check_covers(hg, colouring)
     if not colouring.is_total:
         missing = colouring.uncoloured()
         raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")

@@ -23,22 +23,29 @@ in batches: while that support stays the same it draws a run of redraws at
 once, classifies them all in one kernel call, and keeps the rows the
 one-at-a-time loop would have reached; after a miss it restores the
 generator and draws the kept rows again, so colours, resample counts and the
-RNG stream are those of one redraw at a time.  One vectorised kernel,
-:func:`mono_counts`, counts monochromatic edges per vertex for the engine,
-:func:`classify` and ``analysis.verify``, on one colour vector or a (B, n)
-batch of rows.  One vector is counted by a ``bincount``.  A batch is
-transposed once to vertex-major (n, B), so an edge slot's colours are one
-gather of contiguous length-B rows, and counted per vertex and row by one
-``reduceat`` over a CSR vertex -> edge index.
+RNG stream are those of one redraw at a time.
 
-The resample loop reads flags, not counts, and from B = 64 rows on it takes
-them bit-sliced, 64 rows to a uint64 word: each bit plane of the labels is
-packed into words, an edge is monochromatic where no plane tells its slots
-apart, and "at least t of a vertex's edges" is t-1 OR-accumulates and one
-OR-reduce along a (max degree, n) incidence padded with a zero sentinel edge.
-The flags equal the counting kernel's.  The loop builds each index at most
-once: the CSR one on its first batch of 2-63 rows, the padded one on its
-first batch of 64 or more.
+One rule classifies, in :func:`_classifier`: a vertex is bad when more than
+d of its edges are monochromatic, an edge all-bad when all its vertices are
+bad, and a vertex terrible when more than the threshold of its edges are
+all-bad.  "More than x of a vertex's edges" takes one of three layouts,
+picked by the number of rows B:
+
+* one colour vector: one ``bincount``;
+* 2-63 rows: transposed once to vertex-major (n, B), so an edge slot's
+  colours are one gather of contiguous length-B rows, and counted per vertex
+  and row by one ``reduceat`` over a CSR vertex -> edge index, 2-4 times
+  faster per call than one ``bincount`` over row-offset ids;
+* 64 or more rows of integer labels: bit-sliced, 64 rows to a uint64 word.
+  Each bit plane of the labels is packed into words, an edge is
+  monochromatic where no plane tells its slots apart, and "at least t" is
+  t-1 OR-accumulates and one OR-reduce along a (max degree, n) incidence
+  padded with a zero sentinel edge.  It is slower than counting on a few
+  rows and faster on many (see ``_WORD_ROWS``).
+
+All three give the same flags, and a resample loop builds each index at
+most once, by the first batch that reads it.  :func:`mono_counts`, which
+``analysis.verify`` reads, counts by the first two.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -163,10 +170,17 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def _check_covers(hg: Hypergraph, colouring: Colouring) -> None:
+    """Refuse a colouring that does not give exactly one entry to each vertex."""
+    if len(colouring.colours) != hg.n:
+        raise ValueError(f"colouring covers {len(colouring.colours)} vertices, hypergraph has {hg.n}")
+
+
 def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
     """Independent uniform colour draws for every vertex."""
     if k < 1:
         raise ValueError(f"palette must have >= 1 colours, got {k}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=hg.n)
     return Colouring(tuple(int(c) for c in draws), k)
@@ -183,7 +197,7 @@ def _vertex_major(colours: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(colours.T)
 
 
-def _batch_index(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csr_incidence(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edge of each vertex slot in CSR order, the vertices on some edge, where their runs start)."""
     edge_of, degrees = _incidence(edges, n)
     nonempty = np.flatnonzero(degrees)
@@ -200,17 +214,6 @@ def _padded_incidence(edges: np.ndarray, n: int) -> np.ndarray:
     return padded
 
 
-class _Index(NamedTuple):
-    """The vertex -> edge layouts of one edge array that batch kernels read, each built on its first call."""
-
-    csr: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]  # :func:`_batch_index`, for 2-63 rows
-    padded: Callable[[], np.ndarray]  # :func:`_padded_incidence`, for bit-sliced batches
-
-
-def _index(edges: np.ndarray, n: int) -> _Index:
-    return _Index(cache(partial(_batch_index, edges, n)), cache(partial(_padded_incidence, edges, n)))
-
-
 def _slots(edges: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
     """The vertex-major ``values`` at each of the u edge slots in turn, as (m,) or (m, B) arrays.
 
@@ -220,17 +223,19 @@ def _slots(edges: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
     return map(values.__getitem__ if values.ndim == 1 else partial(values.take, axis=0), edges.T)
 
 
-def _edge_counts(edges: np.ndarray, mask: np.ndarray, n: int, index: _Index) -> np.ndarray:
+def _edge_counts(
+    edges: np.ndarray, mask: np.ndarray, n: int, csr: Callable[[], tuple[np.ndarray, ...]],
+) -> np.ndarray:
     """Per vertex (and row), how many edges picked by ``mask`` contain it: (n,) from (m,), (n, B) from (m, B).
 
     One row is counted by one ``bincount``; B rows by one ``reduceat`` over
-    the CSR incidence ``index.csr()``, where only vertices of degree > 0 start a
-    run (``reduceat`` reads an empty run as its next element) and the rest
-    stay 0.
+    the CSR incidence ``csr()`` (:func:`_csr_incidence`), where only vertices of
+    degree > 0 start a run (``reduceat`` reads an empty run as its next
+    element) and the rest stay 0.
     """
     if mask.ndim == 1:
         return np.bincount(np.concatenate([slot[mask] for slot in edges.T]), minlength=n)
-    edge_of, nonempty, starts = index.csr()
+    edge_of, nonempty, starts = csr()
     counts = np.zeros((n, mask.shape[1]), dtype=np.int64)
     if len(starts):
         counts[nonempty] = np.add.reduceat(mask.take(edge_of, axis=0), starts, axis=0)
@@ -251,12 +256,6 @@ def _mono_edges(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return mono
 
 
-def _mono_counts(edges: np.ndarray, colours: np.ndarray, n: int, index: _Index) -> np.ndarray:
-    """:func:`mono_counts`, counting B > 1 rows through the CSR incidence ``index.csr()``."""
-    counts = _edge_counts(edges, _mono_edges(edges, _vertex_major(colours)), n, index)
-    return counts.T.reshape(colours.shape)
-
-
 def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
     """Per-vertex number of monochromatic edges under total colour vectors.
 
@@ -265,10 +264,11 @@ def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
     (B, n) rows; the counts have the same shape.  Only label equality
     matters.
     """
-    return _mono_counts(edges, colours, n, _index(edges, n))
+    mono = _mono_edges(edges, _vertex_major(colours))
+    return _edge_counts(edges, mono, n, partial(_csr_incidence, edges, n)).T.reshape(colours.shape)
 
 
-# -- the bit-sliced kernel: 64 rows per machine word -------------------------------
+# -- the bit-sliced layout: 64 rows per machine word --------------------------------
 
 # Rows per uint64 word, and the batch size from which the flags of integer
 # rows are computed bit-sliced, so that every word but the last is full.
@@ -277,7 +277,10 @@ def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
 # 8, 6.0 / 5.9 at 16, 4.9 / 2.7 at 32, 3.3 / 1.3 at 64, 3.5 / 0.47 at 256 and
 # 3.9 / 0.30 at 1024.  Below 64 rows the counting kernel stays: it is the
 # cheaper one up to B=8, where sparse rounds, which miss every few redraws and
-# then restart B at 1, make nearly all of their calls.
+# then restart B at 1, make nearly all of their calls.  The floor also bounds
+# the (max degree, n) padded incidence: a resample loop reaches 64 rows only
+# when max(m, n) <= _BATCH_EDGE_ROWS // _WORD_ROWS = 4096, so that index holds
+# at most 2^24 int64 (128 MiB); a floor of 16 or 32 would allow 2 GiB or 512 MiB.
 _WORD_ROWS = 64
 
 
@@ -339,60 +342,45 @@ def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
     return np.unpackbits(octets, axis=0, count=rows, bitorder="little").view(bool)
 
 
-def _bit_sliced_classify(
-    rows: np.ndarray, edges: np.ndarray, d: int, threshold: float, padded: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_classify_arrays` on B >= 64 integer rows, 64 rows per word.
+def _classifier(
+    edges: np.ndarray, n: int, d: int, threshold: float | None = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``violated`` flags of an (n,) colour vector or of (B, n) rows, in the same shape.
 
-    A vertex is bad when at least d+1 of its edges are monochromatic, an
-    edge all-bad when each of its slots is bad, and a vertex terrible when
-    at least floor(threshold)+1 of its edges are all-bad: for an integer
-    count, exactly when the count exceeds the threshold.
+    A vertex is bad when more than d of its edges are monochromatic, an edge
+    all-bad when all its vertices are bad, and a vertex terrible when more
+    than ``threshold`` of its edges are all-bad.  The callable flags the
+    terrible vertices when given a threshold and the bad ones otherwise.
+    B >= 64 rows of integer labels ask "more than x of a vertex's edges"
+    bit-sliced, the rest by counting; each index is built at most once, by
+    the first call that reads it.
     """
-    bad = _at_least(_mono_words(edges, rows), padded, d + 1)
-    slots = _slots(edges, bad)
-    all_bad = next(slots)
-    for at in slots:
-        all_bad &= at
-    # below 0 every count passes; at or past the degree cap (or NaN) none does
-    cut = 0 if threshold < 0 else math.floor(threshold) + 1 if threshold < len(padded) else len(padded) + 1
-    return _unpack(bad, len(rows)), _unpack(_at_least(all_bad, padded, cut), len(rows))
+    csr, padded = cache(partial(_csr_incidence, edges, n)), cache(partial(_padded_incidence, edges, n))
 
+    def counted(mask: np.ndarray, x: float) -> np.ndarray:
+        return _edge_counts(edges, mask, n, csr) > x
 
-def _over_defect(edges: np.ndarray, colours: np.ndarray, n: int, d: int, index: _Index) -> np.ndarray:
-    """Per vertex (and row), whether its monochromatic degree exceeds d: naive-lll's ``violated``."""
-    if _is_wide(colours):
-        return _unpack(_at_least(_mono_words(edges, colours), index.padded(), d + 1), len(colours))
-    return _mono_counts(edges, colours, n, index) > d
+    def sliced(words: np.ndarray, x: float) -> np.ndarray:
+        degree = len(padded())
+        # below 0 every count passes; at or past the max degree (or NaN) none does
+        return _at_least(words, padded(), 0 if x < 0 else math.floor(x) + 1 if x < degree else degree + 1)
 
+    def rule(mono: np.ndarray, more_than: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+        bad = more_than(mono, d)
+        if threshold is None:
+            return bad
+        slots = _slots(edges, bad)
+        all_bad = next(slots)
+        for at in slots:
+            all_bad &= at
+        return more_than(all_bad, threshold)
 
-def _classify_arrays(
-    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float,
-    index: _Index | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bad mask, terrible mask) for an (n,) colour vector or for (B, n) rows.
+    def violated(colours: np.ndarray) -> np.ndarray:
+        if _is_wide(colours):
+            return _unpack(rule(_mono_words(edges, colours), sliced), len(colours))
+        return rule(_mono_edges(edges, _vertex_major(colours)), counted).T.reshape(colours.shape)
 
-    ``index`` supplies the incidence layouts of ``edges`` for B > 1 rows; by
-    default each such call builds its own.  B >= 64 rows of integer labels
-    are classified bit-sliced, the rest by counting.
-    """
-    index = index or _index(edges, n)
-    if _is_wide(colours):
-        return _bit_sliced_classify(colours, edges, d, threshold, index.padded())
-    return _counted_classify(colours, edges, n, d, threshold, index)
-
-
-def _counted_classify(
-    colours: np.ndarray, edges: np.ndarray, n: int, d: int, threshold: float, index: _Index,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_classify_arrays` by counting, for any labels: a ``bincount`` or ``reduceat`` per mask."""
-    bad = _edge_counts(edges, _mono_edges(edges, _vertex_major(colours)), n, index) >= d + 1
-    slots = _slots(edges, bad)
-    all_bad = next(slots)
-    for at in slots:
-        all_bad &= at
-    terrible = _edge_counts(edges, all_bad, n, index) > threshold
-    return bad.T.reshape(colours.shape), terrible.T.reshape(colours.shape)
+    return violated
 
 
 def classify(
@@ -412,12 +400,14 @@ def classify(
     Returns:
         (bad vertices, terrible vertices)
     """
+    _check_covers(hg, colouring)
     if not colouring.is_total:
         raise ValueError("classification needs a total colouring")
     if bad_edge_threshold is None:
         bad_edge_threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
-    colours = np.asarray(colouring.colours)
-    bad, terrible = _classify_arrays(colours, hg.edge_array(), hg.n, d, bad_edge_threshold)
+    colours, edges = np.asarray(colouring.colours), hg.edge_array()
+    bad = _classifier(edges, hg.n, d)(colours)
+    terrible = _classifier(edges, hg.n, d, bad_edge_threshold)(colours)
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
 
 
@@ -465,14 +455,12 @@ def _resample(
     the same state as B calls of size |S| (numpy takes bounded integers
     from the bit stream one at a time and keeps a spare 32-bit half in the
     generator state), and classifies all B rows in one ``violated`` call
-    on a (B, n) array; the kernel counts 2-63 rows vertex-major and
-    bit-slices 64 or more, through incidence layouts that the caller
-    builds on the first call that reads each.  Row i is
-    kept while every earlier row flags a vertex whose support is S; the
-    first row that flags nothing, or whose lowest flagged vertex has
-    another support, is the last one kept (supports are computed in that
-    walk order, no further).  If rows were
-    dropped, the generator state saved before the batch is restored and
+    on a (B, n) array (a :func:`_classifier`, which counts up to 63 rows
+    and bit-slices 64 or more).  Row i is kept while every earlier row
+    flags a vertex whose support is S; the first row that flags nothing,
+    or whose lowest flagged vertex has another support, is the last one
+    kept (supports are computed in that walk order, no further).  If rows
+    were dropped, the generator state saved before the batch is restored and
     the kept draws are drawn again, so the colours, the resample count and
     the RNG stream are exactly those of redrawing one support at a time.
     B starts at 1, doubles after a batch kept whole and drops back to 1
@@ -548,20 +536,19 @@ def nibble_round(
         raise ValueError(f"palette must have >= 1 colours, got {k}")
     if d < 0:
         raise ValueError(f"defect must be >= 0, got {d}")
+    _check_seed(seed)
     if threshold is None:
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
 
     edges = hg.edge_array()
-    index = _index(edges, hg.n)  # each layout built by the first batch that reads it
     colours, resamples, succeeded = _resample(
-        hg, k, seed, budget,
-        lambda c: _classify_arrays(c, edges, hg.n, d, threshold, index)[1],
+        hg, k, seed, budget, _classifier(edges, hg.n, d, threshold),
         lambda v: closed_second_neighbourhood(hg, v),
     )
     trace = RoundTrace(0, "nibble", k, 0, float(hg.max_degree), resamples, 0, succeeded)
     if not succeeded:
         return Colouring(tuple(colours.tolist()), k), None, trace
-    bad = mono_counts(edges, colours, hg.n) > d
+    bad = _classifier(edges, hg.n, d)(colours)
     residual = tuple(np.flatnonzero(bad).tolist())
     assignment = tuple(None if b else c for b, c in zip(bad.tolist(), colours.tolist()))
     return Colouring(assignment, k), residual, replace(trace, residual_size=len(residual))
@@ -596,11 +583,8 @@ def linear_lll_colouring(
 
     k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1))))
     edges, nbr = hg.edge_array(), hg.neighbour_sets()
-    index = _index(edges, hg.n)  # each layout built by the first batch that reads it
     colours, resamples, succeeded = _resample(
-        hg, k, seed, budget,
-        lambda c: _over_defect(edges, c, hg.n, d, index),
-        lambda v: sorted(nbr[v] | {v}),
+        hg, k, seed, budget, _classifier(edges, hg.n, d), lambda v: sorted(nbr[v] | {v}),
     )
     if not succeeded:
         raise BudgetExhaustedError(

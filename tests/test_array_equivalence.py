@@ -69,7 +69,7 @@ from defcol import (
     within_part_incident_counts,
 )
 from defcol import generators
-from defcol.engine import _classify_arrays, _index, _over_defect, _resample, closed_second_neighbourhood
+from defcol.engine import _classifier, _resample, closed_second_neighbourhood
 from defcol.hypergraph import _read_array
 
 # -- references ------------------------------------------------------------------
@@ -732,16 +732,12 @@ def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget,
         if threshold is None:
             threshold = hg.max_degree * 2.0 ** -(u - 1)
 
-        def violated(rows):
-            return _classify_arrays(rows, array, n, d, threshold)[1]
+        violated = _classifier(array, n, d, threshold)
 
         def support(v):
             return closed_second_neighbourhood(hg, v)
     else:
-        nbr, index = hg.neighbour_sets(), _index(array, n)
-
-        def violated(rows):
-            return _over_defect(array, rows, n, d, index)
+        nbr, violated = hg.neighbour_sets(), _classifier(array, n, d)
 
         def support(v):
             return sorted(nbr[v] | {v})

@@ -29,7 +29,7 @@ from defcol import (
     verify,
 )
 from defcol import engine
-from defcol.engine import _classify_arrays, closed_second_neighbourhood
+from defcol.engine import _classifier, closed_second_neighbourhood
 from helpers import edge_tuples, mono_degree
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
@@ -93,6 +93,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(TRIANGLE, Colouring((0, None, 0), 1), 0)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_refuses_a_colouring_of_another_length(self, length):
+        with pytest.raises(ValueError, match=f"colouring covers {length} vertices, hypergraph has 3"):
+            classify(TRIANGLE, Colouring((0,) * length, 1), 0)
+
     def test_rainbow_is_calm(self):
         bad, terrible = classify(TRIANGLE, Colouring((0, 1, 2), 3), 0)
         assert bad == set() and terrible == set()
@@ -127,27 +132,24 @@ def reference_classify(hg, colouring, d, threshold):
 def assert_rows_match(hg, rows, k, d, threshold):
     """Every row of the (B, n) kernel calls equals the (n,) call on it and the references.
 
-    B >= 64 rows of int64 labels take the bit-sliced kernel, so its flags
-    must also equal the counting kernel's on the whole batch, in both
-    ``violated`` forms: terrible flags and mono degree over d.
+    B >= 64 rows of int64 labels take the bit-sliced layout, so its flags
+    must also equal the counting layout's on the whole batch (object labels
+    never bit-slice), in both ``violated`` forms: terrible flags and mono
+    degree over d (the bad flags).
     """
     edges, n = hg.edge_array(), hg.n
-    index = engine._index(edges, n)
-    counts = mono_counts(edges, rows, n)
-    bad, terrible = _classify_arrays(rows, edges, n, d, threshold)
-    over = engine._over_defect(edges, rows, n, d, index)
-    assert counts.shape == bad.shape == terrible.shape == over.shape == rows.shape
+    terrible_of, bad_of = _classifier(edges, n, d, threshold), _classifier(edges, n, d)
+    counts, terrible, bad = mono_counts(edges, rows, n), terrible_of(rows), bad_of(rows)
+    assert counts.shape == terrible.shape == bad.shape == rows.shape
     assert engine._is_wide(rows) == (len(rows) >= 64 and rows.dtype == np.int64)
-    counted_bad, counted_terrible = engine._counted_classify(rows, edges, n, d, threshold, index)
-    assert bad.tolist() == counted_bad.tolist() and terrible.tolist() == counted_terrible.tolist()
-    assert over.tolist() == (counts > d).tolist()
+    counted = rows.astype(object)
+    assert terrible.tolist() == terrible_of(counted).tolist() and bad.tolist() == bad_of(counted).tolist()
+    assert bad.tolist() == (counts > d).tolist()
     for b, row in enumerate(rows):
         mono, ref_bad, ref_terrible = reference_classify(hg, Colouring(tuple(row.tolist()), k), d, threshold)
-        single_bad, single_terrible = _classify_arrays(row, edges, n, d, threshold)
         assert counts[b].tolist() == mono_counts(edges, row, n).tolist() == mono
-        assert bad[b].tolist() == single_bad.tolist() == ref_bad
-        assert terrible[b].tolist() == single_terrible.tolist() == ref_terrible
-        assert over[b].tolist() == [c > d for c in mono]
+        assert bad[b].tolist() == bad_of(row).tolist() == ref_bad
+        assert terrible[b].tolist() == terrible_of(row).tolist() == ref_terrible
 
 
 def labelled_rows(batch, n, k, seed):
@@ -211,29 +213,35 @@ WIDE_CASES = [
 
 @pytest.mark.parametrize("hg", WIDE_CASES, ids=["isolated", "no-edges", "u1", "k6", "u3", "u4"])
 def test_bit_sliced_flags_match_the_counting_kernel(hg):
-    """Both ``violated`` forms on B = 64-300 rows, several bit planes, every kind of threshold."""
+    """Both ``violated`` forms on B = 64-300 rows, several bit planes, every kind of threshold.
+
+    The same rows as object labels take the counting layout.
+    """
     edges, n = hg.edge_array(), hg.n
-    index = engine._index(edges, n)
     default = hg.max_degree * 2.0 ** -(hg.u - 1)
+    thresholds = (0.0, -1.0, -0.5, default, hg.max_degree + 0.5, math.nan)
     for batch, k in product((64, 65, 71, 100, 127, 128, 200, 300), (2, 3, 5, 2**20)):
         rows = labelled_rows(batch, n, k, batch * k)
-        assert engine._is_wide(rows)
+        counted = rows.astype(object)
+        assert engine._is_wide(rows) and not engine._is_wide(counted)
         counts = mono_counts(edges, rows, n)
-        for d, threshold in product(range(4), (0.0, -1.0, -0.5, default, hg.max_degree + 0.5)):
-            wide = _classify_arrays(rows, edges, n, d, threshold, index)
-            counted = engine._counted_classify(rows, edges, n, d, threshold, index)
-            assert [a.tolist() for a in wide] == [a.tolist() for a in counted]
-            assert engine._over_defect(edges, rows, n, d, index).tolist() == (counts > d).tolist()
+        for d in range(4):
+            bad_of = _classifier(edges, n, d)
+            assert bad_of(rows).tolist() == bad_of(counted).tolist() == (counts > d).tolist()
+            for threshold in thresholds:
+                terrible_of = _classifier(edges, n, d, threshold)
+                assert terrible_of(rows).tolist() == terrible_of(counted).tolist()
         # labels are compared as 64-bit patterns: shifting them (below 0 too) changes no flag
-        shifted, plain = (_classify_arrays(r, edges, n, 1, default, index) for r in (rows - 2**40, rows))
-        assert [a.tolist() for a in shifted] == [a.tolist() for a in plain]
+        for threshold in (None, default):
+            violated = _classifier(edges, n, 1, threshold)
+            assert violated(rows - 2**40).tolist() == violated(rows).tolist()
 
 
 def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkeypatch):
     """The CSR index on the first batch of 2-63 rows, the padded incidence on the first of 64 or more."""
     builds, padded = [], []
-    real_index, real_padded = engine._batch_index, engine._padded_incidence
-    monkeypatch.setattr(engine, "_batch_index", lambda edges, n: builds.append(n) or real_index(edges, n))
+    real_index, real_padded = engine._csr_incidence, engine._padded_incidence
+    monkeypatch.setattr(engine, "_csr_incidence", lambda edges, n: builds.append(n) or real_index(edges, n))
     monkeypatch.setattr(engine, "_padded_incidence", lambda e, n: padded.append(n) or real_padded(e, n))
     hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
     assert nibble_round(hg, 1, 40, budget=300)[2].resamples == 0
@@ -244,6 +252,24 @@ def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkey
     for _ in range(2):
         assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # then 64, 128 and 45 rows
     assert (builds, padded) == ([35, 35, 35], [35, 35])
+
+
+def test_padded_incidence_is_built_only_where_its_size_is_bounded(monkeypatch):
+    """A batch reaches 64 rows only when max(m, n) <= _BATCH_EDGE_ROWS // _WORD_ROWS.
+
+    That bounds the (max degree, n) padded incidence by the square of that
+    quotient: on K_{2,N} at the edge of the bound (m = 2N) the padded
+    incidence is built once, and just past it never.
+    """
+    padded = []
+    real_padded = engine._padded_incidence
+    monkeypatch.setattr(engine, "_padded_incidence", lambda e, n: padded.append(n) or real_padded(e, n))
+    half = engine._BATCH_EDGE_ROWS // engine._WORD_ROWS // 2
+    for others, builds in ((half - 1, [half + 1]), (half + 1, [])):
+        padded.clear()
+        k2n = Hypergraph(others + 2, 2, [(i, j) for i in (0, 1) for j in range(2, others + 2)])
+        assert nibble_round(k2n, 0, 2, threshold=1.0, budget=300)[2].resamples == 300
+        assert padded == builds
 
 
 def test_closed_second_neighbourhood_on_a_path():
@@ -383,6 +409,10 @@ class TestLinearLLL:
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1, seed=-3)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            uniform_colouring(TRIANGLE, 2, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            nibble_round(TRIANGLE, 0, 2, seed=-1)
 
 
 class TestGraphMaxcut:
