@@ -5,22 +5,22 @@ their codegree.  A locally optimal partition puts every vertex where its
 same-part codegree mass is smallest, which caps the number of incident
 edges that stay inside the vertex's own part at r*deg(x)/ell (r = u-1).
 A vertex's tally counts the parts of its co-members, one entry per
-shared edge (:meth:`Hypergraph.co_members`).  The within-part incident
-counts the CLI reports, the edges through each vertex that hold another
-vertex of its part, come from the edge array as well
-(:func:`within_part_incident_counts`).
+shared edge; the search counts every tally once, from one sort of the
+hypergraph's pair codes, and keeps it current as vertices move, never
+recounting.  The within-part incident counts the CLI reports, the edges
+through each vertex that hold another vertex of its part, come from the
+edge array (:func:`within_part_incident_counts`).
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _runs
 
 __all__ = [
     "Partition",
@@ -38,8 +38,7 @@ class Partition:
     num_parts: int
 
     def __post_init__(self) -> None:
-        if self.num_parts < 1:
-            raise ValueError(f"need at least one part, got {self.num_parts}")
+        _check_parts(self.num_parts)
         for v, p in enumerate(self.parts):
             if not 0 <= p < self.num_parts:
                 raise ValueError(f"vertex {v} assigned to part {p}, outside 0..{self.num_parts - 1}")
@@ -82,26 +81,42 @@ def max_cut_search(hg: Hypergraph, num_parts: int, seed: int = 0) -> MaxCutRun:
     codegree tally (ties to the lowest part index), and only strictly
     improving moves are taken, so the objective strictly decreases and the
     move count can never exceed the initial objective.
+
+    Each vertex keeps a row of its co-members' counts per part
+    (:func:`_part_tallies`), built once and kept current: a move takes one
+    from the old part and adds one to the new part in the row of every
+    co-member of the mover.  A visit whose own part tallies zero costs
+    O(1), any other visit O(row), and a move O(co-members).  A vertex whose
+    initial label lies past its row counts its own part by scanning its
+    co-members instead, until it first moves.
     """
-    if num_parts < 1:
-        raise ValueError(f"need at least one part, got {num_parts}")
+    _check_parts(num_parts)
     rng = random.Random(seed)
     parts = [rng.randrange(num_parts) for _ in range(hg.n)]
     initial = pair_objective(hg, Partition(tuple(parts), num_parts))
 
-    co_members = hg.co_members()
+    owner, member = np.divmod(hg._pair_codes(), hg.n)  # one entry per edge shared
+    counts = np.bincount(owner, minlength=hg.n)
+    rows = _part_tallies(owner, member, counts, parts, num_parts)
+    members, ends = member.tolist(), np.cumsum(counts).tolist()
     moves = 0
     improved = True
     while improved:
         improved = False
-        for x in range(hg.n):
-            tally = Counter([parts[y] for y in co_members[x]])
-            current = tally[parts[x]]
+        for x, start, end in zip(range(hg.n), [0] + ends, ends):
+            row, old = rows[x], parts[x]
+            current = row[old] if old < len(row) else [parts[y] for y in members[start:end]].count(old)
             if current == 0:
                 continue  # already in a part contributing nothing
-            target = _least_loaded_part(tally, num_parts)
-            if tally[target] < current:
-                parts[x] = target
+            least = min(row)
+            if least < current:
+                parts[x] = new = row.index(least)  # index keeps the first of equals
+                for y in members[start:end]:
+                    tally = rows[y]
+                    if old < len(tally):
+                        tally[old] -= 1
+                    if new < len(tally):
+                        tally[new] += 1
                 moves += 1
                 improved = True
 
@@ -114,15 +129,26 @@ def max_cut_search(hg: Hypergraph, num_parts: int, seed: int = 0) -> MaxCutRun:
     )
 
 
-def _least_loaded_part(tally: Counter[int], num_parts: int) -> int:
-    """Part index with the smallest tally, ties to the lowest index.
+def _part_tallies(
+    owner: np.ndarray, member: np.ndarray, counts: np.ndarray, parts: list[int], num_parts: int
+) -> list[list[int]]:
+    """Per vertex x, how many of its co-members lie in each part below x's row width.
 
-    Any part missing from the tally has mass zero, so when the tally does
-    not mention every part the answer is the first unmentioned index.
+    ``member[i]`` is a co-member of ``owner[i]``, one entry per edge they
+    share, and ``counts`` holds each vertex's number of entries.  The width
+    is min(num_parts, c + 1) for a vertex with c co-members: they hold at
+    most c parts, so the first zero of a full tally, where the search would
+    move x, lies inside the row, and the rows hold O(sum of c) entries
+    whatever ``num_parts`` is.
     """
-    if len(tally) < num_parts:
-        return next(i for i in range(num_parts) if i not in tally)
-    return min(range(num_parts), key=tally.__getitem__)  # min keeps the first of equals
+    cap = min(num_parts, int(counts.max(initial=0)) + 1)
+    widths = np.minimum(counts + 1, cap)
+    labels = np.array([min(p, cap) for p in parts], dtype=np.int64)  # cap lies past every row
+    label = labels[member]
+    inside = label < widths[owner]
+    starts = np.cumsum(widths) - widths
+    flat = np.bincount(starts[owner[inside]] + label[inside], minlength=int(widths.sum()))
+    return list(_runs(flat.tolist(), widths))
 
 
 def within_part_incident_counts(hg: Hypergraph, partition: Partition) -> np.ndarray:
@@ -143,4 +169,10 @@ def within_part_incident_counts(hg: Hypergraph, partition: Partition) -> np.ndar
 
 def guarantee_bound(hg: Hypergraph, num_parts: int, x: int) -> float:
     """The per-vertex ceiling r*deg(x)/ell promised at local optima."""
+    _check_parts(num_parts)
     return (hg.u - 1) * hg.degree([x]) / num_parts
+
+
+def _check_parts(num_parts: int) -> None:
+    if num_parts < 1:
+        raise ValueError(f"need at least one part, got {num_parts}")

@@ -540,10 +540,14 @@ def shared_pair_edge_lists(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(shared_pair_edge_lists(), st.integers(1, 6), st.integers(0, 2**32))
-def test_max_cut_search_matches_the_incidence_walk(case, num_parts, seed):
+@given(shared_pair_edge_lists(), st.data(), st.integers(0, 2**32))
+def test_max_cut_search_matches_the_incidence_walk(case, data, seed):
     n, u, edges = case
     hg = Hypergraph(n, u, edges)
+    widest = (u - 1) * hg.max_degree + 1  # no vertex has co-members in more parts than this
+    num_parts = data.draw(
+        st.integers(1, 6) | st.integers(widest + 1, widest + 8) | st.sampled_from([2**40, 2**70])
+    )
     canon, incidence, _, _ = ref_build(n, u, edges)
     assert hg.co_members() == ref_co_members(n, edge_tuples(hg))
     run = max_cut_search(hg, num_parts, seed)

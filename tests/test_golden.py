@@ -25,6 +25,9 @@ The ``maxcut`` and ``sunflower`` digests cover the ``--json`` record
 (minus ``wall_clock_s`` and the path-valued params), then stdout, then
 ``maxcut``'s ``--out`` partition file; they were frozen from the max cut
 search that walked the tuple views, before it read the edge array.  The
+``graph-maxcut-sweeps`` case and the two ``maxcut`` cases past (u-1)*Δ+1
+parts were frozen from the search that counted each visited vertex's
+co-member parts afresh, before it kept a running tally per vertex.  The
 two larger ``sunflower`` cases (m=1000 and K_12^(3)) were frozen from the
 decomposition that rebuilt a Hypergraph per extraction, before it kept
 one view of the alive rows.
@@ -91,6 +94,9 @@ CASES = {
     "naive-lll": (("linear", 30, 3, 6, 40, 2), "naive-lll", 1, 0, None, None),
     "naive-lll-exhausted": (("random", 400, 2, 10, 2000, 7), "naive-lll", 0, 0, 1, None),
     "graph-maxcut": (("random", 50, 2, 12, 150, 0), "graph-maxcut", 1, 3, None, None),
+    # 13 parts: the search takes 3 sweeps and 303 moves, and 14 vertices have
+    # degree below 12, so fewer co-members than parts
+    "graph-maxcut-sweeps": (("random", 600, 2, 24, 6000, 5), "graph-maxcut", 1, 0, None, None),
     "greedy-proper": (("random", 30, 3, 9, 70, 1), "greedy-proper", 0, 0, None, None),
 }
 
@@ -104,6 +110,7 @@ RECORD_DIGESTS = {
     "adaptive-resample-u3": "602f7b14bdf607f641cb66c0fcb4d59199116efe51d895171e0ff22b23f285ae",
     "adaptive-fallback": "85576b258d3542a0a3a63f8eb4246a3dd63bf5dfc9fe82eb4e31ff45ea3eb4a9",
     "graph-maxcut": "6994f98625decdde1bce6ccaf03154791f716cd4f0136d717fca3bc16b21938e",
+    "graph-maxcut-sweeps": "397e404837bc8234b711457237b95ea0c564ce61f1c80029066deba063299ab4",
     "greedy-proper": "ca2609ec1ab93b35304eeebbf796a4fada025f0fe56cc4f850344bef8681d9d5",
     "naive-lll": "4e374929f62e0545a9eac0c6a0322b0fc1c61dfd386b30ecf6cf75d1599c7f54",
     "naive-lll-exhausted": "1923fc26723d7eebeaa2c2d80649bef5dc89dea91262e93421ae58ccbaf6c89a",
@@ -125,6 +132,7 @@ TRACE_DIGESTS = {
     "adaptive-resample-u3": "0efe784ec7af9eec3c162ebc710c3ef143895a72808da52c93f1a091e39e942e",
     "adaptive-fallback": "1b6a6925d91e10f1a04b074fae09ce8d6eafef872add80be64e03e8b4253a572",
     "graph-maxcut": "1ac2265895b15b96bca9637698ab20133a9bc7bd3b2b797c1e5977225521d654",
+    "graph-maxcut-sweeps": "64cdaf84962f9366219c8dd12dc106ddc984ca0b339340e2f31d1b8ee4ff43c2",
     "greedy-proper": "073859a6b63ce4ab98b0fbfbed644ddfffbfbdc36098b37ceb153653d8e3847d",
     "naive-lll": "44770d0d744fcea53003b37b7961876f9799665e46008e0f023f3578b58a5105",
     "theorem-doubling": "a05dd01a8616436db4ceb2dd8c3db952602670c475f4709b4ba0a71bebb293e2",
@@ -207,6 +215,10 @@ MAXCUT_CASES = {
     "maxcut-u3": (("random", 40, 3, 12, 120, 2), 4, 0),
     "maxcut-u3-two-parts": (("random", 30, 3, 15, 110, 6), 2, 5),
     "maxcut-complete-8-3": (("complete", 8, 3), 3, 2),
+    # max degree 6, so 20 parts lie past (u-1)*6+1 = 13 labels a vertex can see;
+    # at 2**70 no two labels meet and nothing moves
+    "maxcut-u3-parts-20": (("random", 60, 3, 6, 100, 3), 20, 0),
+    "maxcut-u3-parts-2**70": (("random", 60, 3, 6, 100, 3), 2**70, 1),
 }
 
 SUNFLOWER_CASES = {
@@ -224,6 +236,8 @@ SUBCOMMAND_DIGESTS = {
     "maxcut-graph": "26dd53f5c2a7656d3df58d3519a6deff01bf1daf2e8c15af46b6c04c1312bc2d",
     "maxcut-u3": "53736484f5d82a07a7e0710e7adbc20fd4683d918b5dfba17e0e885e69690ee3",
     "maxcut-u3-two-parts": "c7406fbff4863879213a3ba40331e6a7a4f949ac10573a50335237a2bfad6630",
+    "maxcut-u3-parts-20": "95c0f276231d54cd442cf6f8b79d3c58c27faf8f761213b9d0166c13c09d6659",
+    "maxcut-u3-parts-2**70": "97d66bb698f8e244867ce6bf4d9131ad03952b923bef703775baaf8d4f35804d",
     "sunflower-complete-8-3": "9f93cade8fdd6a2db97347d586a0e45334935050ef83e69caf5c422e074d4595",
     "sunflower-complete-12-3": "2178c0e367dcb9a26f25b6ad5883d3ea9d956c496c0a62b0243b56cf6dbaa3ea",
     "sunflower-graph": "7dafbbecfa776a48eaa9beb583349fe519ba0fd6c425463c37f93717dc68e720",

@@ -1,5 +1,9 @@
 """Local-search partitioning and the same-part codegree objective."""
 
+import tracemalloc
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,7 @@ from defcol import (
     pair_objective,
     random_bounded_degree,
 )
+from defcol.partition import _part_tallies
 from helpers import within_part_incident_count
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
@@ -84,6 +89,36 @@ class TestMaxCutSearch:
         with pytest.raises(ValueError):
             max_cut_search(TRIANGLE, 0)
 
+    def test_tallies_stay_below_one_entry_per_vertex_and_part(self):
+        # K_{1,2000} with 2000 parts: an n x P table would hold 4.002e6 entries,
+        # the rows 2000 for the centre and 2 per leaf
+        star = Hypergraph(2001, 2, [(0, v) for v in range(1, 2001)])
+        for seed in range(3):
+            tracemalloc.start()
+            try:
+                run = max_cut_search(star, 2000, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < star.n * 2000  # bytes: under one byte per entry of the table
+            assert run.final_objective == 0
+
+
+@pytest.mark.parametrize("num_parts", [1, 2, 5, 13, 14, 40, 2**40, 2**70])
+def test_part_tallies_count_co_member_parts_in_narrow_rows(num_parts):
+    # u=3 with max degree 6: a vertex sees at most 12 co-members, so from 13
+    # parts on every row is narrower than the palette
+    hg = random_bounded_degree(60, 3, 6, 100, seed=3)
+    parts = [7919**v % num_parts for v in range(hg.n)]  # past int64 at 2**70
+    owner, member = np.divmod(hg._pair_codes(), hg.n)
+    counts = np.bincount(owner, minlength=hg.n)
+    rows = _part_tallies(owner, member, counts, parts, num_parts)
+    co_members = hg.co_members()
+    for x, row in enumerate(rows):
+        assert len(row) == min(num_parts, (hg.u - 1) * hg.degree([x]) + 1)
+        tally = Counter(parts[y] for y in co_members[x])
+        assert row == [tally[p] for p in range(len(row))]
+
 
 def test_within_part_count_is_edgewise():
     # vertex 0 shares a part with 1 but not 2: only the edges through 1 count
@@ -97,6 +132,14 @@ def test_guarantee_bound_value():
     assert guarantee_bound(TRIANGLE, 2, 0) == pytest.approx(1 * 2 / 2)
     hg = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
     assert guarantee_bound(hg, 4, 0) == pytest.approx(2 * 2 / 4)
+
+
+@pytest.mark.parametrize("num_parts", [0, -2])
+def test_guarantee_bound_refuses_fewer_than_one_part(num_parts):
+    with pytest.raises(ValueError, match=f"need at least one part, got {num_parts}"):
+        guarantee_bound(TRIANGLE, num_parts, 0)
+    with pytest.raises(ValueError, match=f"need at least one part, got {num_parts}"):
+        max_cut_search(TRIANGLE, num_parts)
 
 
 @settings(max_examples=40, deadline=None)
