@@ -411,15 +411,19 @@ def classify(
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
 
 
+def _closed_neighbourhood(hg: Hypergraph, vertices: np.ndarray) -> np.ndarray:
+    """The given vertices and all their neighbours, sorted and distinct, in one CSR gather."""
+    starts, neighbours = hg.neighbour_sets()
+    first, counts = starts[vertices], starts[vertices + 1] - starts[vertices]
+    # neighbours[first[j] + t] for t < counts[j], for every j at once
+    at = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return np.unique(np.concatenate([vertices, neighbours[at]]))
+
+
 def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
     """All vertices within hypergraph distance 2 of v, v included."""
-    nbr = hg.neighbour_sets()
-    first = set(nbr[v])
-    first.add(v)
-    second = set(first)
-    for w in first:
-        second |= nbr[w]
-    return tuple(sorted(second))
+    hg._check_vertex(v)
+    return tuple(_closed_neighbourhood(hg, _closed_neighbourhood(hg, np.array([v]))).tolist())
 
 
 # -- the resample loop -----------------------------------------------------------
@@ -582,9 +586,9 @@ def linear_lll_colouring(
         budget = default_budget(hg.n)
 
     k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1))))
-    edges, nbr = hg.edge_array(), hg.neighbour_sets()
     colours, resamples, succeeded = _resample(
-        hg, k, seed, budget, _classifier(edges, hg.n, d), lambda v: sorted(nbr[v] | {v}),
+        hg, k, seed, budget, _classifier(hg.edge_array(), hg.n, d),
+        lambda v: _closed_neighbourhood(hg, np.array([v])),
     )
     if not succeeded:
         raise BudgetExhaustedError(

@@ -2,8 +2,8 @@
 
 Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
 distinct vertices.  The edges are kept as one read-only int64 array with
-each row sorted, and every query is answered from it; only the per-vertex
-co-members and neighbour sets are built from it, on first use, and cached.
+each row sorted, and every query is answered from it; only the neighbour
+index is built from it, on first use, and cached.
 The plain-text instance format used by the command line tools lives here
 too, next to the type it describes.
 """
@@ -95,8 +95,8 @@ class Hypergraph:
     duplicate edges are rejected; the first offending edge, in input
     order, is named in the ``ValueError``.  The edges are stored once, as
     the (m, u) array :meth:`edge_array` returns, with degrees counted at
-    construction.  :meth:`co_members` and :meth:`neighbour_sets` are built
-    on first use, so code that works on the array never pays for them.
+    construction.  :meth:`neighbour_sets`, a CSR pair ``(starts, neighbours)``
+    of int64 arrays, is built on first use, so array code never pays for it.
 
     ``u >= 2`` is the usual case; ``u == 1`` is permitted so that links of
     2-uniform hypergraphs (whose edges shrink to singletons) remain
@@ -160,8 +160,7 @@ class Hypergraph:
         self._edges = arr
         self._degrees = np.bincount(arr.ravel(), minlength=n)
         self._max_degree = int(self._degrees.max()) if n else 0
-        self._neighbour_sets: tuple[frozenset[int], ...] | None = None
-        self._co_members: tuple[tuple[int, ...], ...] | None = None
+        self._neighbour_sets: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -196,20 +195,15 @@ class Hypergraph:
         # a row's vertices are distinct, so it holds all of s when len(s) of its slots lie in s
         return int((np.isin(self._edges, s).sum(axis=1) == len(s)).sum())
 
-    def co_members(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex co-members with multiplicity, sorted: one entry per edge shared."""
-        if self._co_members is None:
-            others = (self._pair_codes() % self.n).tolist()
-            self._co_members = tuple(map(tuple, _runs(others, self._degrees * (self.u - 1))))
-        return self._co_members
-
-    def neighbour_sets(self) -> tuple[frozenset[int], ...]:
-        """Per-vertex sets of distinct neighbours (co-members of some edge)."""
+    # perfbench/spans.py traces this method by name
+    def neighbour_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR pair (starts, neighbours): v's are ``neighbours[starts[v]:starts[v+1]]``, sorted."""
         if self._neighbour_sets is None:
             codes = self._pair_codes()
-            codes = codes[np.diff(codes, prepend=-1) != 0]
-            counts = np.bincount(codes // self.n, minlength=self.n)
-            self._neighbour_sets = tuple(map(frozenset, _runs((codes % self.n).tolist(), counts)))
+            owner, neighbours = np.divmod(codes[np.diff(codes, prepend=-1) != 0], self.n)
+            starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.n))])
+            starts.flags.writeable = neighbours.flags.writeable = False
+            self._neighbour_sets = starts, neighbours
         return self._neighbour_sets
 
     def _pair_codes(self) -> np.ndarray:
@@ -260,8 +254,8 @@ class Hypergraph:
 
     def is_linear(self) -> bool:
         """True when no two distinct edges share two or more vertices."""
-        codes = self._pair_codes()  # a code twice: one ordered pair in two edges
-        return not (codes[1:] == codes[:-1]).any()
+        # then the index keeps every one of the m*u*(u-1) ordered pairs of edge members
+        return int(self.neighbour_sets()[0][-1]) == self.m * self.u * (self.u - 1)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Shared test utilities: tuple views and per-vertex references, an exhaustive oracle, tiny ensembles.
 
 The hypergraph keeps its edges only as an array; ``edge_tuples`` and
-``incident`` rebuild the tuple views it once carried, and the per-vertex
-references below walk them as the package's own code did before it
-answered from the array: ``mono_degree``, ``within_part_incident_count``,
-``ref_degree``, ``ref_equal`` and ``ref_probe_bad_vertex``.  The oracle
+``incident`` rebuild the tuple views it once carried, ``neighbour_lists``
+decodes its CSR neighbour index, and the per-vertex references below walk
+the tuples as the package's own code did before it answered from the
+array: ``ref_co_members``, ``ref_neighbour_sets``, ``mono_degree``,
+``within_part_incident_count``, ``ref_degree``, ``ref_equal`` and
+``ref_probe_bad_vertex``.  The oracle
 here deliberately shares no code with the package: it tries every
 assignment of every palette size by brute force, so agreement with the
 package's backtracking oracle is meaningful evidence.  The reference
@@ -29,6 +31,32 @@ def edge_tuples(hg: Hypergraph) -> tuple[tuple[int, ...], ...]:
 def incident(hg: Hypergraph, v: int) -> tuple[int, ...]:
     """Indices (into ``edge_tuples``) of the edges containing vertex ``v``, increasing."""
     return tuple(idx for idx, e in enumerate(edge_tuples(hg)) if v in e)
+
+
+def ref_co_members(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex co-members with multiplicity, sorted: one entry per edge shared."""
+    members = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            members[v].extend(w for w in e if w != v)
+    return tuple(tuple(sorted(m)) for m in members)
+
+
+def ref_neighbour_sets(n: int, edges) -> tuple[frozenset[int], ...]:
+    """Per-vertex sets of distinct neighbours (co-members of some edge)."""
+    sets = [set() for _ in range(n)]
+    for e in edges:
+        for v in e:
+            sets[v].update(e)
+    for v in range(n):
+        sets[v].discard(v)
+    return tuple(frozenset(s) for s in sets)
+
+
+def neighbour_lists(hg: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """``hg.neighbour_sets()`` decoded: each vertex's run of the CSR pair, as a tuple."""
+    starts, neighbours = (a.tolist() for a in hg.neighbour_sets())
+    return tuple(tuple(neighbours[a:b]) for a, b in zip(starts, starts[1:]))
 
 
 def mono_degree(hg: Hypergraph, colouring: Colouring, v: int) -> int:

@@ -28,8 +28,8 @@ def test_hypergraph_keeps_no_tuple_views():
     """Edges are read from ``edge_array``; the per-edge tuples and incidence lists are gone."""
     assert not hasattr(Hypergraph, "edges")
     assert not hasattr(Hypergraph, "incident")
+    assert not hasattr(Hypergraph, "co_members")
     hg = Hypergraph(4, 3, [(2, 0, 1), (1, 2, 3)])
-    hg.co_members(), hg.neighbour_sets()
-    # the array, its degrees, and the two per-vertex caches the algorithms read
-    assert sorted(vars(hg)) == ["_co_members", "_degrees", "_edges", "_max_degree", "_neighbour_sets",
-                                "n", "u"]
+    hg.is_linear(), hg.neighbour_sets()
+    # the array, its degrees, and the one neighbour index the resample supports read
+    assert sorted(vars(hg)) == ["_degrees", "_edges", "_max_degree", "_neighbour_sets", "n", "u"]

@@ -32,8 +32,11 @@ from helpers import (
     edge_tuples,
     incident,
     mono_degree,
+    neighbour_lists,
+    ref_co_members,
     ref_degree,
     ref_equal,
+    ref_neighbour_sets,
     ref_probe_bad_vertex,
     reference_rejection_sample,
     within_part_incident_count,
@@ -69,7 +72,7 @@ from defcol import (
     within_part_incident_counts,
 )
 from defcol import generators
-from defcol.engine import _classifier, _resample, closed_second_neighbourhood
+from defcol.engine import _classifier, _closed_neighbourhood, _resample, closed_second_neighbourhood
 from defcol.hypergraph import _read_array
 
 # -- references ------------------------------------------------------------------
@@ -174,16 +177,6 @@ def ref_is_linear(edges):
     return True
 
 
-def ref_neighbour_sets(n, edges):
-    sets = [set() for _ in range(n)]
-    for e in edges:
-        for v in e:
-            sets[v].update(e)
-    for v in range(n):
-        sets[v].discard(v)
-    return tuple(frozenset(s) for s in sets)
-
-
 def ref_pair_objective(edges, parts):
     total = 0
     for e in edges:
@@ -225,14 +218,6 @@ def ref_max_cut_search(n, edges, incidence, num_parts, seed):
                 moves += 1
                 improved = True
     return tuple(parts), moves, initial, ref_pair_objective(edges, parts)
-
-
-def ref_co_members(n, edges):
-    members = [[] for _ in range(n)]
-    for e in edges:
-        for v in e:
-            members[v].extend(w for w in e if w != v)
-    return tuple(tuple(sorted(m)) for m in members)
 
 
 def ref_oracle(n, edges, d, k):
@@ -504,7 +489,25 @@ def test_greedy_linearity_and_neighbours_match_the_loops(case):
         colouring = greedy_proper(hg)
         assert (colouring.colours, colouring.num_colours) == ref_greedy(n, canon, incidence)
     assert hg.is_linear() == ref_is_linear(canon)
-    assert hg.neighbour_sets() == ref_neighbour_sets(n, canon)
+    assert neighbour_lists(hg) == tuple(tuple(sorted(s)) for s in ref_neighbour_sets(n, canon))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(valid=True))
+@example(case=(0, 3, []))
+@example(case=(9, 3, [[0, 1, 2], [2, 3, 4], [1, 5, 6]]))  # 7 and 8 are isolated
+@example(case=(4, 1, [[0], [2]]))
+def test_neighbour_index_and_supports_match_the_edge_walk(case):
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    canon = edge_tuples(hg)
+    assert neighbour_lists(hg) == tuple(tuple(sorted(s)) for s in ref_neighbour_sets(n, canon))
+    assert hg.is_linear() == ref_is_linear(canon)
+    for v in range(n):
+        first = {w for e in canon if v in e for w in e} | {v}
+        second = {w for e in canon if first.intersection(e) for w in e} | first
+        assert _closed_neighbourhood(hg, np.array([v])).tolist() == sorted(first)
+        assert closed_second_neighbourhood(hg, v) == tuple(sorted(second))
 
 
 @settings(max_examples=150, deadline=None)
@@ -549,7 +552,6 @@ def test_max_cut_search_matches_the_incidence_walk(case, data, seed):
         st.integers(1, 6) | st.integers(widest + 1, widest + 8) | st.sampled_from([2**40, 2**70])
     )
     canon, incidence, _, _ = ref_build(n, u, edges)
-    assert hg.co_members() == ref_co_members(n, edge_tuples(hg))
     run = max_cut_search(hg, num_parts, seed)
     found = (run.partition.parts, run.moves, run.initial_objective, run.final_objective)
     assert found == ref_max_cut_search(n, canon, incidence, num_parts, seed)
@@ -580,8 +582,11 @@ def test_within_part_incident_counts_match_the_per_vertex_checker(case, data):
 
 def test_co_members_count_each_shared_edge():
     hg = Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (3, 4, 0)])
-    assert hg.co_members() == ((1, 1, 2, 3, 3, 4), (0, 0, 2, 3), (0, 1), (0, 0, 1, 4), (0, 3))
-    assert hg.neighbour_sets() == tuple(map(frozenset, hg.co_members()))
+    co_members = ((1, 1, 2, 3, 3, 4), (0, 0, 2, 3), (0, 1), (0, 0, 1, 4), (0, 3))
+    assert ref_co_members(hg.n, edge_tuples(hg)) == co_members
+    # the index keeps each co-member once, however many edges it shares
+    assert hg.neighbour_sets()[0].tolist() == [0, 4, 7, 9, 12, 14]
+    assert neighbour_lists(hg) == tuple(tuple(sorted(set(c))) for c in co_members)
 
 
 @settings(max_examples=200, deadline=None)
@@ -741,7 +746,7 @@ def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget,
         def support(v):
             return closed_second_neighbourhood(hg, v)
     else:
-        nbr, violated = hg.neighbour_sets(), _classifier(array, n, d)
+        nbr, violated = ref_neighbour_sets(n, edge_tuples(hg)), _classifier(array, n, d)
 
         def support(v):
             return sorted(nbr[v] | {v})

@@ -278,6 +278,13 @@ def test_closed_second_neighbourhood_on_a_path():
     assert closed_second_neighbourhood(path, 2) == (0, 1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("v", [-1, 5])
+def test_closed_second_neighbourhood_refuses_a_vertex_out_of_range(v):
+    # -1 once read the last vertex's run and returned (-1, 3, 4)
+    with pytest.raises(ValueError, match=f"vertex {v} outside 0..4"):
+        closed_second_neighbourhood(Hypergraph(5, 2, [(0, 1), (1, 2), (3, 4)]), v)
+
+
 class TestNibbleRound:
     def test_success_contract(self):
         hg = random_bounded_degree(40, 3, 20, 140, seed=8)

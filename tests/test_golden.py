@@ -48,6 +48,12 @@ seconds column, ``generate`` followed by the file it wrote); they were
 frozen from the CLI whose eight subcommands each started the clock, loaded
 the instance and wrote the record themselves, before one runner did.
 
+The ``support`` digests cover, for every vertex of five instances, the
+closed second neighbourhood ``nibble_round`` redraws and the closed first
+neighbourhood ``naive-lll`` redraws; they were frozen from the engine that
+kept a frozenset of neighbours per vertex, before it gathered supports
+from one CSR neighbour index.
+
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
 Cases with a ``floor`` therefore swap ``defcol.engine.nibble_round`` for
@@ -59,7 +65,9 @@ real one), which drives the doubling and greedy-fallback paths.
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from helpers import edge_tuples, ref_neighbour_sets
 
 import defcol
 from defcol import cli, engine
@@ -459,3 +467,38 @@ def test_bench_matches_frozen_digests(suite, tmp_path, capsys):
         del row["seconds"]
     table = "".join(line[: -len(" seconds")] + "\n" for line in stdout.splitlines())
     assert sha256(json.dumps(record, sort_keys=True) + "\n" + table) == BENCH_DIGESTS[suite]
+
+
+SUPPORT_INSTANCES = {
+    "r60-u3-d10": lambda: defcol.random_bounded_degree(60, 3, 10, 150, seed=2),
+    "a35-u3-d18": lambda: defcol.random_bounded_degree(35, 3, 18, 199, seed=7000),
+    "linear-200-u3": lambda: defcol.random_linear(200, 3, 6, 300, seed=1),
+    "r100-u2-d5": lambda: defcol.random_bounded_degree(100, 2, 5, 200, seed=3),
+    "isolated-9-u3": lambda: defcol.Hypergraph(9, 3, [(0, 1, 2), (2, 3, 4), (1, 5, 6)]),
+}
+
+SUPPORT_DIGESTS = {
+    # id: (closed second neighbourhoods, closed first neighbourhoods), one per vertex
+    "r60-u3-d10": ("77a70bf229488a0855bac476e75aea114bbc51549540bf64e9fccf8d5014f125",
+                   "51e90d7783132f7a99131e656ad44c28836b2655bc0d98629cd2fb60f22b7835"),
+    "a35-u3-d18": ("4c88c9785e5408b551eeda17bde0f57f812452fb83442fcf27cedf9349eeab16",
+                   "ccff12c7405dc12df6c6ad52d0bfb4a6ff1a79a778005d0f68abb97329def3d3"),
+    "linear-200-u3": ("7ffcd95fa17fc01ab33285268b912f54d8d8972068d2bd68d34a7118b87d87eb",
+                      "69deff07c902796da12326006f5348552cf1570c1cc34d05c91844a6382489a9"),
+    "r100-u2-d5": ("2dfe5058ed63c27c9b2f1735b887f1968c05b0321bc9e79a70b616c75e0ad9ab",
+                   "7c6cb94db5ce4962e945f2ef64ef3e7b43c012c0feab052fa0b03fb027b03808"),
+    "isolated-9-u3": ("8a2182ab23d94bac3af7685a2a99ce83790be8b31132a8151ed7bfaf0140b960",
+                      "739ada200aa7b3b3b16fafb1533e787e52eafd4ab996e1c9fc416ce13f3526b2"),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(SUPPORT_INSTANCES))
+def test_resample_supports_match_frozen_digests(case_id):
+    """``nibble_round``'s support per vertex, and ``naive-lll``'s, as the engine and the reference build it."""
+    hg = SUPPORT_INSTANCES[case_id]()
+    second = tuple(defcol.closed_second_neighbourhood(hg, v) for v in range(hg.n))
+    nbr = ref_neighbour_sets(hg.n, edge_tuples(hg))
+    first = tuple(tuple(sorted(nbr[v] | {v})) for v in range(hg.n))
+    assert (sha256(repr(second)), sha256(repr(first))) == SUPPORT_DIGESTS[case_id]
+    gathered = tuple(tuple(engine._closed_neighbourhood(hg, np.array([v])).tolist()) for v in range(hg.n))
+    assert sha256(repr(gathered)) == SUPPORT_DIGESTS[case_id][1]

@@ -1,5 +1,6 @@
 """Core structure: construction, degrees, links, induced subgraphs, text format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,10 +95,12 @@ class TestIncidence:
         assert self.hg.degree([0, 4]) == 0
 
     def test_neighbour_sets(self):
-        nbr = self.hg.neighbour_sets()
-        assert nbr[0] == {1, 2, 3}
-        assert nbr[4] == {2, 3}
-        assert 0 not in nbr[0]
+        starts, neighbours = self.hg.neighbour_sets()
+        assert starts.dtype == neighbours.dtype == np.int64
+        assert len(starts) == self.hg.n + 1
+        assert neighbours[starts[0]:starts[1]].tolist() == [1, 2, 3]
+        assert neighbours[starts[4]:starts[5]].tolist() == [2, 3]
+        assert self.hg.neighbour_sets() is self.hg.neighbour_sets()
 
 
 def test_link_of_complete_4_3_is_triangle():
