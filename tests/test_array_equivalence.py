@@ -71,7 +71,7 @@ from defcol import (
     verify,
     within_part_incident_counts,
 )
-from defcol import generators
+from defcol import engine, generators
 from defcol.engine import _classifier, _closed_neighbourhood, _resample, closed_second_neighbourhood
 from defcol.hypergraph import _read_array
 
@@ -490,6 +490,31 @@ def test_greedy_linearity_and_neighbours_match_the_loops(case):
         assert (colouring.colours, colouring.num_colours) == ref_greedy(n, canon, incidence)
     assert hg.is_linear() == ref_is_linear(canon)
     assert neighbour_lists(hg) == tuple(tuple(sorted(s)) for s in ref_neighbour_sets(n, canon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(valid=True, max_n=20, max_m=30))
+@example(case=(0, 2, []))
+@example(case=(7, 2, []))
+@example(case=(9, 3, [[0, 1, 2], [2, 3, 4], [1, 5, 6]]))  # 7 and 8 are isolated
+@example(case=(12, 2, [[i, i + 1] for i in range(11)]))
+@example(case=(12, 3, [[i, i + 1, i + 2] for i in range(10)]))
+@example(case=(4, 1, [[0], [2]]))
+def test_blocked_greedy_matches_the_per_edge_loop(case):
+    # blocks of 1, 2, 3 and 7 vertices put edges both across blocks (marked in
+    # the table) and inside one (walked in Python), on the same instance
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    canon, incidence, _, _ = ref_build(n, u, edges)
+    for block in (1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_GREEDY_BLOCK", block)
+            if u == 1 and edges:
+                with pytest.raises(ValueError, match="singleton edges are monochromatic"):
+                    greedy_proper(hg)
+                continue
+            colouring = greedy_proper(hg)
+        assert (colouring.colours, colouring.num_colours) == ref_greedy(n, canon, incidence)
 
 
 @settings(max_examples=300, deadline=None)

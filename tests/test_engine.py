@@ -1,6 +1,7 @@
 """Colouring engine: elementary operations, resampling rounds, full modes."""
 
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -460,6 +461,21 @@ class TestGreedyProper:
 
     def test_empty_graph(self):
         assert greedy_proper(Hypergraph(0, 2, [])).colours == ()
+
+    def test_forbidden_table_follows_the_palette_not_the_degree(self):
+        # K_{1,20000}: a table as wide as max_degree + 1 would take 5.1 MB for
+        # one block of 256 vertices; the palette so far keeps it at 1-3 columns
+        leaves = range(1, 20001)
+        for star in (Hypergraph(20001, 2, [(0, v) for v in leaves]),
+                     Hypergraph(20001, 2, [(v - 1, 20000) for v in leaves])):
+            tracemalloc.start()
+            try:
+                colouring = greedy_proper(star)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20  # bytes
+            assert colouring.num_colours == 2
 
 
 @st.composite

@@ -54,6 +54,12 @@ neighbourhood ``naive-lll`` redraws; they were frozen from the engine that
 kept a frozenset of neighbours per vertex, before it gathered supports
 from one CSR neighbour index.
 
+The ``greedy`` digests cover ``greedy_proper``'s colours on instances of
+2000-5000 vertices, so the colouring crosses many blocks of vertices, and on
+stars with the centre first and last; they were frozen from the greedy that
+walked every edge as a Python tuple, before it marked blocks of vertices
+in arrays.
+
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
 Cases with a ``floor`` therefore swap ``defcol.engine.nibble_round`` for
@@ -502,3 +508,33 @@ def test_resample_supports_match_frozen_digests(case_id):
     assert (sha256(repr(second)), sha256(repr(first))) == SUPPORT_DIGESTS[case_id]
     gathered = tuple(tuple(engine._closed_neighbourhood(hg, np.array([v])).tolist()) for v in range(hg.n))
     assert sha256(repr(gathered)) == SUPPORT_DIGESTS[case_id][1]
+
+
+GREEDY_INSTANCES = {
+    "r3000-u3-d30": lambda: defcol.random_bounded_degree(3000, 3, 30, 28000, seed=11),
+    "r2000-u4-d20": lambda: defcol.random_bounded_degree(2000, 4, 20, 9000, seed=12),
+    "linear-3000-u3": lambda: defcol.random_linear(3000, 3, 10, 8000, seed=13),
+    "r5000-u2-d40": lambda: defcol.random_bounded_degree(5000, 2, 40, 95000, seed=14),
+    "chain-2000-u3": lambda: defcol.Hypergraph(2000, 3, [(i, i + 1, i + 2) for i in range(1998)]),
+    "star-2000-centre-first": lambda: defcol.Hypergraph(2001, 2, [(0, v) for v in range(1, 2001)]),
+    "star-2000-centre-last": lambda: defcol.Hypergraph(2001, 2, [(v, 2000) for v in range(2000)]),
+    "complete-12-3": lambda: defcol.complete(12, 3),
+}
+
+GREEDY_DIGESTS = {
+    # id: (sha256 of the repr of the colours, palette)
+    "r3000-u3-d30": ("12d2c216c8fd8fea41f9a9627f27a8ff8b31dd1b5e8ef395b93b9b65c6cb54ec", 6),
+    "r2000-u4-d20": ("fa42777c07e10b278269b6fea86c70ffd2702c3448ac823568030f77953aae87", 4),
+    "linear-3000-u3": ("6217eb510c37ba3e4191ea9c0b53db6d0e5adc71f473c49e9bc729752a8a2cd9", 4),
+    "r5000-u2-d40": ("e650a79c3390536585031edce7da18a709cd6356365fafd3521dc201c7f81c39", 16),
+    "chain-2000-u3": ("5a94b15b79913d9bad7405d4d87ebd98db3a17db26e63ca22462de6db078372f", 2),
+    "star-2000-centre-first": ("cb3db0c1dd4db217c378ea5f0cb679a085034669a4e3a1f289246919d9189947", 2),
+    "star-2000-centre-last": ("501e9046885dad4d55eaabbdbd9606c423c95c348ae7cf64db2373f7367eef94", 2),
+    "complete-12-3": ("09b9ab9d815ff9790fb59d71c6f71ea4e300b486fb139aa203377aafa127aaa0", 6),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(GREEDY_INSTANCES))
+def test_greedy_matches_frozen_digests(case_id):
+    colouring = defcol.greedy_proper(GREEDY_INSTANCES[case_id]())
+    assert (sha256(repr(colouring.colours)), colouring.num_colours) == GREEDY_DIGESTS[case_id]
