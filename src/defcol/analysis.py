@@ -296,8 +296,8 @@ def probe_mono_edge(hg: Hypergraph, k: int, trials: int, seed: int = 0) -> Probe
     """
     if hg.m < 1:
         raise ValueError("needs at least one edge")
-    if k < 1 or trials < 1:
-        raise ValueError("need k >= 1 and trials >= 1")
+    if not 1 <= k <= 2**31 or trials < 1:  # the colours are drawn as int32
+        raise ValueError(f"need 1 <= k <= 2**31 and trials >= 1, got k={k}, trials={trials}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=(trials, hg.u), dtype=np.int32)
@@ -316,8 +316,8 @@ def probe_bad_vertex(
     """
     if not 0 <= v < hg.n:
         raise ValueError(f"vertex {v} outside 0..{hg.n - 1}")
-    if k < 1 or trials < 1 or d < 0:
-        raise ValueError("need k >= 1, trials >= 1 and d >= 0")
+    if not 1 <= k <= 2**31 or trials < 1 or d < 0:  # the colours are drawn as int32
+        raise ValueError(f"need 1 <= k <= 2**31, trials >= 1, d >= 0; got k={k}, trials={trials}, d={d}")
     _check_seed(seed)
     edges = hg.edge_array()
     through = edges[(edges == v).any(axis=1)]

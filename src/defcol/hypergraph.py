@@ -4,13 +4,12 @@ Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
 distinct vertices.  The edges are kept as one read-only int64 array with
 each row sorted, and every query is answered from it; only the neighbour
 index is built from it, on first use, and cached.
-The plain-text instance format used by the command line tools lives here
-too, next to the type it describes.
+The plain-text instance format lives here too; :func:`parse_instance` reads
+the text :func:`format_instance` writes in one numpy pass.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -294,62 +293,43 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, stripped
 
 
-# Byte classes for the vectorised reader.  Any other byte (a '#', an
-# underscore, a non-ASCII digit, a form feed, ...) is class 0 and leaves
-# the text to the line parser, so the two agree on what is accepted.
-_DIGIT, _SIGN, _BLANK, _BREAK = range(1, 5)
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
-_BYTE_CLASS[list(b" \t")] = _BLANK
-_BYTE_CLASS[list(b"\n\r")] = _BREAK
-_MAX_TOKEN = 18  # digits, sign included, that always fit in int64
+# The bytes format_instance writes; any other leaves the text to the line parser
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[list(b"0123456789 \t\n")] = True
 
 
 def _read_array(text: str) -> tuple[int, int, np.ndarray] | None:
-    """(n, u, edge array) when every token is a plain integer and the lines are well formed.
+    """(n, u, edge array) when the text is an "n m u" line and m lines of u plain numbers.
 
-    Returns None whenever the text is anything else; the line parser then
-    judges it.  No Python object is made per token.
+    Each line break is read as the number -1, which no token can be, so one
+    numpy read of the whole text also shows where the lines end.  Returns
+    None whenever the text is anything else; the line parser then judges it.
     """
-    if not text.isascii():
+    if not (text.isascii() and _PLAIN[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].all()):
         return None
-    cls = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
-    if not cls.all():
-        return None
-    word = (cls <= _SIGN).view(np.int8)
-    bounds = np.diff(word, prepend=np.int8(0), append=np.int8(0))
-    starts, ends = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
-    if len(starts) < 3 or (ends - starts).max() > _MAX_TOKEN:
-        return None
-    if (cls[ends - 1] == _SIGN).any():  # "+" or "1-": numpy reads a sign at the very end as 0
-        return None
-    # tokens per line, from the tokens that start before each line break; a
-    # "\r\n" pair adds an empty line, which is skipped like a blank one
-    before_break = np.searchsorted(starts, np.flatnonzero(cls == _BREAK))
-    per_line = np.diff(before_break, prepend=0, append=len(starts))
-    counts = per_line[per_line > 0]
-    try:
-        with warnings.catch_warnings():  # older numpy only warns on a partial read
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text, dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):  # a token such as "+" or "1+"
-        return None
-    # one value per token: a sign inside a token ("2-1") splits it in two
-    if len(values) != len(starts) or counts[0] != 3:
+    lines = text.replace("\n", " -1 ") + ("" if text.endswith("\n") else " -1")
+    values = np.fromstring(lines, dtype=np.int64, sep=" ")
+    if len(values) < 4 or values[3] != -1 or (values[:3] < 0).any():
         return None
     n, m, u = values[:3].tolist()
-    if n < 0 or m < 0 or u < 2 or len(counts) != m + 1 or (counts[1:] != u).any():
+    # numpy reads a token past int64 as 2**63-1, so sizes are checked before the
+    # reshape; such a vertex is at least n, and the constructor refuses it
+    if not (2 <= u < _SIZE_LIMIT and n < _SIZE_LIMIT) or len(values) != 4 + m * (u + 1):
         return None
-    return n, u, values[3:].reshape(m, u)
+    rows = values[4:].reshape(m, u + 1)
+    if (rows[:, -1] != -1).any() or (rows[:, :-1] < 0).any():
+        return None
+    return n, u, rows[:, :-1]
 
 
 def parse_instance(text: str) -> Hypergraph:
     """Parse the plain-text instance format into a Hypergraph.
 
-    Clean text is read in one vectorised pass.  Anything else (comments,
-    unusual digits or a fault of any kind) goes through the line parser,
-    which accepts exactly what it always has and names the offending line.
+    Text as :func:`format_instance` writes it (only ASCII digits, spaces, tabs
+    and newlines: an "n m u" line, then m lines of u numbers, no blank line)
+    is read in one numpy pass.  Anything else (comments, blank lines, CRLF,
+    signs, a missing number) goes through the line parser, which accepts
+    exactly what it always has and names the offending line.
 
     Raises:
         InstanceFormatError: on any malformed line, with its line number.

@@ -265,6 +265,16 @@ class TestProbes:
         with pytest.raises(ValueError):
             probe_bad_vertex(TRIANGLE, 2, -1, 0, 100)
 
+    def test_palette_past_int32_is_refused_by_name(self):
+        # the colours are drawn as int32, whose bound numpy names without naming k
+        for k in (2**31 + 1, 3_000_000_000):
+            with pytest.raises(ValueError, match=f"need 1 <= k <= 2\\*\\*31.*got k={k}"):
+                probe_mono_edge(TRIANGLE, k, 100)
+            with pytest.raises(ValueError, match=f"need 1 <= k <= 2\\*\\*31.*got k={k}"):
+                probe_bad_vertex(TRIANGLE, k, 0, 0, 100)
+        assert probe_mono_edge(TRIANGLE, 2**31, 100).trials == 100
+        assert probe_bad_vertex(TRIANGLE, 2**31, 0, 0, 100).trials == 100
+
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             probe_mono_edge(TRIANGLE, 2, 100, seed=-3)

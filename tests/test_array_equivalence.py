@@ -407,14 +407,24 @@ def test_reader_matches_the_line_parser_on_valid_text(text):
     assert outcome(parsed, text) == outcome(ref_parse, text)
 
 
+def as_case(hg):
+    return hg.n, hg.u, hg.edge_array().tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(edge_lists(valid=True).filter(lambda c: c[1] >= 2))
+# benchmark-shaped text, where falling back on the line parser would cost the most
+@example(case=as_case(random_bounded_degree(2000, 3, 30, 19_000, seed=1)))
+@example(case=as_case(random_bounded_degree(5000, 2, 40, 40_000, seed=1)))
+@example(case=as_case(random_linear(4000, 4, 12, 10_000, seed=1)))
 def test_plain_text_takes_the_vectorised_pass(case):
     n, u, edges = case
-    text = format_instance(Hypergraph(n, u, edges))
+    hg = Hypergraph(n, u, edges)
+    text = format_instance(hg)
     read = _read_array(text)
     assert read is not None
     assert (read[0], read[1], read[2].tolist()) == (n, u, [sorted(e) for e in edges])
+    assert np.array_equal(read[2], hg.edge_array())
     assert parsed(text) == ref_parse(text)
 
 
@@ -463,6 +473,10 @@ def test_reader_matches_the_line_parser_on_corrupted_text(text):
     "3 1 1\n0\n", "-3 1 2\n0 1\n", "3 1 2\n0 0\n", "3 1 2\n0 3\n", "3 2 2\n0 1\n1 0\n",
     "3 1 2\r0 1\r", "3 1 2\n0\x0c1\n", "3 1 2\n0 1 2\n", " 3 1 2 \n\n\t0\t1\t\n",
     "5 0 999999999999999999\n", "3 1 2\n1 +\n", "3 1 2\n1 -",
+    # numpy saturates a token past int64 at 2**63-1; if it wrapped, the vertex would read as 1
+    "3 1 2\n0 18446744073709551617\n", "3 18446744073709551617 2\n0 1\n",
+    "3 1 2\n0 1", "3 0 2", "3 1 2\n0 1\n\n", "3 2 2\n0 1\n\n1 2\n", "3 2 2\n0 1\n \t \n1 2\n",
+    "3 2 2\n0\t1\n1\t2\n", "3 1 2\r\n0 1\r\n", "3 2 2\n0 1 1 2\n",
 ])
 def test_reader_edge_cases(text):
     assert outcome(parsed, text) == outcome(ref_parse, text)

@@ -195,6 +195,12 @@ class TestExactAndProbe:
         assert code == 0
         assert "target 0.062500" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("what", ["mono-edge", "bad-vertex"])
+    def test_probe_palette_past_int32_is_a_usage_error_that_names_k(self, what, h3, capsys):
+        assert main(["probe", h3, "--what", what, "--k", "3000000000", "--trials", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: need 1 <= k <= 2**31") and "k=3000000000" in err
+
     def test_probe_bad_vertex(self, h3, capsys):
         code = main(["probe", h3, "--what", "bad-vertex", "--k", "3",
                      "--defect", "1", "--vertex", "0", "--trials", "2000"])
