@@ -8,13 +8,12 @@ one of the probabilities the randomised engine relies on (the probes).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import Colouring, _check_covers, _check_seed, mono_counts
-from .generators import coords_to_index, grid, index_to_coords
+from .generators import coords_to_index, grid
 from .hypergraph import Hypergraph, _runs
 
 __all__ = [
@@ -223,50 +222,43 @@ def grid_defect_witness(
     mono degree, or None when the class erodes away.
 
     The guarantee needs few enough colours (roughly (Δ/(d+1))^(1/r)/r);
-    with many colours the procedure simply returns None.
+    with many colours the procedure simply returns None.  A given ``hg``
+    must have the grid's n, u and m; it is checked before any grid is built.
     """
-    if hg is None:
-        hg = grid(n, r)
     if len(colouring.colours) != n**r:
         raise ValueError(f"colouring covers {len(colouring.colours)} vertices, grid has {n ** r}")
     if not colouring.is_total:
         raise ValueError("grid witness needs a total colouring")
     if d < 0:
         raise ValueError(f"defect must be >= 0, got {d}")
+    shape = (n**r, r + 1, (n * (n - 1) // 2) ** r)
+    if hg is None:
+        hg = grid(n, r)
+    elif (hg.n, hg.u, hg.m) != shape:
+        raise ValueError(f"hg has (n, u, m) = {(hg.n, hg.u, hg.m)}, grid({n}, {r}) has {shape}")
 
-    classes: dict[int, list[int]] = defaultdict(list)
-    for v, c in enumerate(colouring.colours):
-        classes[c].append(v)
-    best_colour = max(classes, key=lambda c: (len(classes[c]), -c))
-    class_size = len(classes[best_colour])
-    survivors = {index_to_coords(v, n, r) for v in classes[best_colour]}
-
-    changed = True
-    while changed:
-        changed = False
+    # labels below 2**63 fit int64; past that, Python ints keep them exact
+    colours = np.array(colouring.colours, dtype=np.int64 if colouring.num_colours <= 2**63 else object)
+    labels, sizes = np.unique(colours, return_counts=True)
+    best = np.argmax(sizes)  # the first largest class: ties go to the smallest colour
+    alive = (colours == labels[best]).reshape((n,) * r)
+    need = min(d + 1, n**r)  # (c-1)^r < n^r: exact in int64, and deficient past n^r
+    survivors = -1
+    while survivors != (survivors := int(alive.sum())):  # until a sweep deletes nothing
         for axis in range(r):
-            lines: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-            for p in survivors:
-                lines[p[:axis] + p[axis + 1:]].append(p)
-            doomed = [
-                members
-                for members in lines.values()
-                if (len(members) - 1) ** r < d + 1
-            ]
-            for members in doomed:
-                survivors.difference_update(members)
-                changed = True
+            alive &= (alive.sum(axis, keepdims=True) - 1) ** r >= need
 
     if not survivors:
         return None
-    pick = min(survivors, key=lambda p: (sum(p), p))
+    points = np.argwhere(alive)  # row-major, so lexicographic
+    pick = tuple((points[np.argmin(points.sum(axis=1))] + 1).tolist())
     vertex = coords_to_index(pick, n)
     return GridWitness(
         vertex=vertex,
         coords=pick,
-        mono_degree=int(mono_counts(hg.edge_array(), np.asarray(colouring.colours), hg.n)[vertex]),
-        class_size=class_size,
-        survivor_size=len(survivors),
+        mono_degree=int(mono_counts(hg.edge_array(), colours, hg.n)[vertex]),
+        class_size=int(sizes[best]),
+        survivor_size=survivors,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -93,17 +93,13 @@ def grid(n: int, r: int) -> Hypergraph:
         raise ValueError(f"need n >= 2, got {n}")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    edges = []
-    for base in product(range(1, n), repeat=r):  # all coordinates < n
-        base_idx = coords_to_index(base, n)
-        for bumps in product(*(range(1, n - c + 1) for c in base)):
-            edge = [base_idx]
-            for axis, bump in enumerate(bumps):
-                shifted = list(base)
-                shifted[axis] += bump
-                edge.append(coords_to_index(tuple(shifted), n))
-            edges.append(edge)
-    return Hypergraph(n**r, r + 1, edges)
+    # an edge picks one coordinate pair low < high per axis i: the base has low, v_i high
+    low, high = np.triu_indices(n, 1)
+    pairs = np.indices((len(low),) * r).reshape(r, -1)
+    place = n ** np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]  # row-major weight per axis
+    base, top = (place * low[pairs]).sum(axis=0), (place * high[pairs]).sum(axis=0)
+    edges = np.vstack((base, base + place * (high - low)[pairs])).T
+    return Hypergraph(n**r, r + 1, edges[np.lexsort((top, base))])  # by base, then by the highs
 
 
 # -- random families ---------------------------------------------------------

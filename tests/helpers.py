@@ -6,7 +6,9 @@ decodes its CSR neighbour index, and the per-vertex references below walk
 the tuples as the package's own code did before it answered from the
 array: ``ref_co_members``, ``ref_neighbour_sets``, ``mono_degree``,
 ``within_part_incident_count``, ``ref_degree``, ``ref_equal`` and
-``ref_probe_bad_vertex``.  The oracle
+``ref_probe_bad_vertex``.  ``ref_grid`` and ``ref_grid_defect_witness`` are
+the grid and its deletion witness as they were built point by point, with
+the witness's survivors regrouped by axis line in dicts.  The oracle
 here deliberately shares no code with the package: it tries every
 assignment of every palette size by brute force, so agreement with the
 package's backtracking oracle is meaningful evidence.  The reference
@@ -16,11 +18,21 @@ sampler is the pure-Python rejection loop the random generators replaced.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import combinations, product
 
 import numpy as np
 
-from defcol import Colouring, Hypergraph, Partition, ProbeStats
+from defcol import (
+    Colouring,
+    GridWitness,
+    Hypergraph,
+    Partition,
+    ProbeStats,
+    coords_to_index,
+    index_to_coords,
+    mono_counts,
+)
 
 
 def edge_tuples(hg: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -128,6 +140,78 @@ def ref_probe_bad_vertex(hg: Hypergraph, k: int, d: int, v: int, trials: int, se
         mono_count += (sub == sub[:, :1]).all(axis=1)
     hits = mono_count >= d + 1
     return ProbeStats(trials, int(hits.sum()))
+
+
+def ref_grid(n: int, r: int) -> Hypergraph:
+    """The axis grid on {1..n}^r built one edge at a time: each base point, then each choice of bumps."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    edges = []
+    for base in product(range(1, n), repeat=r):  # all coordinates < n
+        base_idx = coords_to_index(base, n)
+        for bumps in product(*(range(1, n - c + 1) for c in base)):
+            edge = [base_idx]
+            for axis, bump in enumerate(bumps):
+                shifted = list(base)
+                shifted[axis] += bump
+                edge.append(coords_to_index(tuple(shifted), n))
+            edges.append(edge)
+    return Hypergraph(n**r, r + 1, edges)
+
+
+def ref_grid_defect_witness(
+    n: int,
+    r: int,
+    colouring: Colouring,
+    d: int,
+    hg: Hypergraph | None = None,
+) -> GridWitness | None:
+    """The grid witness that regrouped its survivors by axis line, in dicts keyed by coordinate tuples."""
+    if hg is None:
+        hg = ref_grid(n, r)
+    if len(colouring.colours) != n**r:
+        raise ValueError(f"colouring covers {len(colouring.colours)} vertices, grid has {n ** r}")
+    if not colouring.is_total:
+        raise ValueError("grid witness needs a total colouring")
+    if d < 0:
+        raise ValueError(f"defect must be >= 0, got {d}")
+
+    classes: dict[int, list[int]] = defaultdict(list)
+    for v, c in enumerate(colouring.colours):
+        classes[c].append(v)
+    best_colour = max(classes, key=lambda c: (len(classes[c]), -c))
+    class_size = len(classes[best_colour])
+    survivors = {index_to_coords(v, n, r) for v in classes[best_colour]}
+
+    changed = True
+    while changed:
+        changed = False
+        for axis in range(r):
+            lines: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+            for p in survivors:
+                lines[p[:axis] + p[axis + 1:]].append(p)
+            doomed = [
+                members
+                for members in lines.values()
+                if (len(members) - 1) ** r < d + 1
+            ]
+            for members in doomed:
+                survivors.difference_update(members)
+                changed = True
+
+    if not survivors:
+        return None
+    pick = min(survivors, key=lambda p: (sum(p), p))
+    vertex = coords_to_index(pick, n)
+    return GridWitness(
+        vertex=vertex,
+        coords=pick,
+        mono_degree=int(mono_counts(hg.edge_array(), np.asarray(colouring.colours), hg.n)[vertex]),
+        class_size=class_size,
+        survivor_size=len(survivors),
+    )
 
 
 def brute_force_feasible(hg: Hypergraph, d: int, k: int) -> bool:

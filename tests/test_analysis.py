@@ -25,7 +25,8 @@ from defcol import (
     probe_mono_edge,
     verify,
 )
-from helpers import brute_force_min_colours, cycle_graph, mono_degree, tiny_instances
+from defcol import analysis
+from helpers import brute_force_min_colours, cycle_graph, mono_degree, ref_grid_defect_witness, tiny_instances
 
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 
@@ -223,6 +224,44 @@ class TestGridWitness:
             grid_defect_witness(3, 2, Colouring((None,) * 9, 1), 0)
         with pytest.raises(ValueError):
             grid_defect_witness(3, 2, Colouring((0,) * 9, 1), -1)
+
+    def test_checks_run_before_the_grid_is_built(self, monkeypatch):
+        """A colouring of 9 vertices is refused for grid(40, 2) without building its 608400 edges."""
+        def no_grid(n, r):
+            raise AssertionError(f"grid({n}, {r}) built before the checks")
+
+        monkeypatch.setattr(analysis, "grid", no_grid)
+        with pytest.raises(ValueError, match="covers 9 vertices, grid has 1600"):
+            grid_defect_witness(40, 2, Colouring((0,) * 9, 1), 0)
+        with pytest.raises(ValueError, match="total colouring"):
+            grid_defect_witness(40, 2, Colouring((None,) * 1600, 1), 0)
+        with pytest.raises(ValueError, match="defect"):
+            grid_defect_witness(40, 2, Colouring((0,) * 1600, 1), -1)
+
+    @pytest.mark.parametrize("n, r, hg", [
+        (3, 2, complete(9, 3)),  # right n and u, 84 edges against 9
+        (4, 2, grid(3, 2)),  # the grid of another side
+        (3, 2, Hypergraph(10, 3, grid(3, 2).edge_array())),  # the grid's edges on 10 vertices
+    ], ids=["complete", "other-side", "extra-vertex"])
+    def test_refuses_a_hypergraph_that_is_not_the_grid(self, n, r, hg):
+        with pytest.raises(ValueError, match=r"hg has \(n, u, m\)"):
+            grid_defect_witness(n, r, Colouring((0,) * n**r, 1), 0, hg=hg)
+
+    @pytest.mark.parametrize("flip", [0, 1])
+    def test_tied_classes_go_to_the_smallest_colour(self, flip):
+        cols = tuple((sum(index_to_coords(i, 4, 2)) + flip) % 2 for i in range(16))
+        w = grid_defect_witness(4, 2, Colouring(cols, 2), 0)
+        assert w.class_size == 8 and cols[w.vertex] == 0
+        assert w == ref_grid_defect_witness(4, 2, Colouring(cols, 2), 0)
+
+    def test_labels_either_side_of_2_63_stay_apart(self):
+        """Colours 2**63 - 1 and 2**63 would meet as float64; every label stays exact."""
+        big = 2**63
+        cols = tuple(big - 1 if index_to_coords(i, 4, 2)[0] <= 3 else big for i in range(16))
+        colouring = Colouring(cols, big + 1)
+        w = grid_defect_witness(4, 2, colouring, 0)
+        assert (w.coords, w.class_size) == ((1, 1), 12)
+        assert w.mono_degree == mono_degree(grid(4, 2), colouring, w.vertex) == 6
 
 
 class TestProbes:

@@ -9,11 +9,14 @@ loop that redrew one support per classification, the sunflower
 decomposition that searched a freshly built Hypergraph of the remaining
 edges for every extraction, the instance writer that joined each row on
 its own, and (in ``helpers``) the rejection sampler that called
-``random.sample`` once per candidate edge and the set degree, equality,
+``random.sample`` once per candidate edge, the set degree, equality,
 bad-vertex probe and per-vertex mono degree that walked the edge tuples
-and incidence lists.  They share no code with the package (the resample
-loop only its ``violated`` and ``support`` callables, the decomposition
-only ``find_sunflower`` on a fresh Hypergraph), so agreement on random
+and incidence lists, and the grid built point by point with its witness
+that regrouped survivors by axis line in dicts.  They share no code with
+the package (the resample loop only its ``violated`` and ``support``
+callables, the decomposition only ``find_sunflower`` on a fresh
+Hypergraph, the grid references only ``coords_to_index``,
+``index_to_coords`` and ``mono_counts``), so agreement on random
 inputs (valid ones, and ones corrupted on purpose) shows that what is
 accepted, what is built, every error message, every seeded resample,
 every extracted sunflower and every generated instance stayed the same.
@@ -36,6 +39,8 @@ from helpers import (
     ref_co_members,
     ref_degree,
     ref_equal,
+    ref_grid,
+    ref_grid_defect_witness,
     ref_neighbour_sets,
     ref_probe_bad_vertex,
     reference_rejection_sample,
@@ -872,13 +877,38 @@ def test_probe_bad_vertex_at_an_isolated_vertex(k):
         assert found == ref_probe_bad_vertex(hg, k, d, 3, trials, seed) and found.count == 0
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([(3, 2), (4, 2), (3, 3)]), st.integers(1, 3), st.integers(0, 2), st.data())
-def test_grid_witness_mono_degree_matches_the_incidence_walk(shape, k, d, data):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 3))
+@example(3, 4)
+@example(2, 6)
+def test_grid_matches_the_point_by_point_build(n, r):
+    """The same edge array, row for row: by base point, then by the larger coordinates."""
+    hg, ref = grid(n, r), ref_grid(n, r)
+    assert (hg.n, hg.u) == (ref.n, ref.u)
+    assert np.array_equal(hg.edge_array(), ref.edge_array())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (5, 1), (9, 1), (3, 2), (4, 2), (5, 2), (3, 3), (2, 4)]),
+    st.integers(1, 3),
+    st.one_of(st.integers(0, 5), st.just(2**70)),
+    st.sampled_from([0, 2**63, 2**70]),
+    st.booleans(),
+    st.data(),
+)
+def test_grid_witness_mono_degree_matches_the_incidence_walk(shape, k, d, base, skewed, data):
+    """The witness of the line-by-line erosion, with its mono degree as the incidence walk counts it.
+
+    Labels start at 0, 2**63 or 2**70, and a class is skewed large or the
+    classes are drawn evenly, so that the largest are often tied.
+    """
     n, r = shape
-    colours = data.draw(st.lists(st.sampled_from([0, 0, 0, k - 1]), min_size=n**r, max_size=n**r))
-    colouring = Colouring(tuple(colours), k)
+    palette = [base, base, base, base + k - 1] if skewed else list(range(base, base + k))
+    colours = data.draw(st.lists(st.sampled_from(palette), min_size=n**r, max_size=n**r))
+    colouring = Colouring(tuple(colours), base + k)
     witness = grid_defect_witness(n, r, colouring, d)
+    assert repr(witness) == repr(ref_grid_defect_witness(n, r, colouring, d))
     if witness is not None:
         assert witness.mono_degree == mono_degree(grid(n, r), colouring, witness.vertex)
 

@@ -429,3 +429,13 @@ def test_readme_cli_examples_match_the_cli(tmp_path, monkeypatch, capsys):
         if command.startswith("bench"):
             shown, out = [line[:-9] for line in shown], [line[:-9] for line in out]
         assert out == shown, command
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """The Library use block runs as written, and each ``# ...`` line is what it prints there."""
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    capsys.readouterr()
+    exec(block, {})
+    shown = [line.removeprefix("# ") for line in block.splitlines() if line.startswith("# ")]
+    assert capsys.readouterr().out.splitlines() == shown

@@ -60,6 +60,13 @@ stars with the centre first and last; they were frozen from the greedy that
 walked every edge as a Python tuple, before it marked blocks of vertices
 in arrays.
 
+The three larger ``generate-record-grid`` cases were frozen from the grid
+builder that walked every base point and bump in Python, before it built
+the edges as arrays.  The ``witness`` digests cover ``grid_defect_witness``
+on seeded colourings at r = 1, 2 and 3 and d = 0, 1 and 4; they were frozen
+from the witness that regrouped its survivors by axis line in dicts of
+coordinate tuples, before it eroded a boolean grid.
+
 The ``theorem`` formula palette has at least 49 colours whenever a round
 runs, so its failure path is out of reach of natural small instances.
 Cases with a ``floor`` therefore swap ``defcol.engine.nibble_round`` for
@@ -70,6 +77,7 @@ real one), which drives the doubling and greedy-fallback paths.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -437,11 +445,17 @@ GENERATE_RECORD_CASES = {
     # id: flags.  Neither passes --edges, so the records lock its default of 2n
     "generate-record-complete": ["--family", "complete", "--n", "7", "--u", "3"],
     "generate-record-grid": ["--family", "grid", "--n", "4", "--r", "2"],
+    "generate-record-grid-7-2": ["--family", "grid", "--n", "7", "--r", "2"],
+    "generate-record-grid-4-3": ["--family", "grid", "--n", "4", "--r", "3"],
+    "generate-record-grid-2-5": ["--family", "grid", "--n", "2", "--r", "5"],
 }
 
 GENERATE_RECORD_DIGESTS = {
     "generate-record-complete": "45b3bf07fc31506b806835cdb41d77143dae6b05b6f0bff898d9b1d58b4da6a5",
     "generate-record-grid": "e734610d6e793d4db96ea6c59165feb4931a046992befc5c2bd1f1ebc2bf798c",
+    "generate-record-grid-7-2": "0ab3872b82d6b819505ef90ea1d2f516b1f44c80d191e6b1deaf1a7bbd2c011f",
+    "generate-record-grid-4-3": "98f9a7d13ebc3300302b06107ff6ad23630eadbe57870ed44f2447ba9e1e660c",
+    "generate-record-grid-2-5": "1fbd3b292f23a0c433e836172dc011323fe5f2e22cba0a15a27e94765a8cf4da",
 }
 
 
@@ -538,3 +552,43 @@ GREEDY_DIGESTS = {
 def test_greedy_matches_frozen_digests(case_id):
     colouring = defcol.greedy_proper(GREEDY_INSTANCES[case_id]())
     assert (sha256(repr(colouring.colours)), colouring.num_colours) == GREEDY_DIGESTS[case_id]
+
+
+WITNESS_CASES = {
+    # id: (n, r, k, d).  Each vertex takes colour 0 with probability 1/2 and
+    # a uniform colour of k otherwise, so one class is large and lines of it erode
+    "r1-n7-k4-d0": (7, 1, 4, 0),
+    "r1-n7-k4-d1": (7, 1, 4, 1),
+    "r1-n7-k4-d4": (7, 1, 4, 4),
+    "r2-n6-k2-d0": (6, 2, 2, 0),
+    "r2-n6-k2-d1": (6, 2, 2, 1),
+    "r2-n6-k2-d4": (6, 2, 2, 4),
+    "r3-n5-k2-d0": (5, 3, 2, 0),
+    "r3-n5-k2-d1": (5, 3, 2, 1),
+    "r3-n5-k2-d4": (5, 3, 2, 4),
+}
+
+WITNESS_DIGESTS = {
+    # id: sha256 of the repr of the witnesses (or None) on seeds 0-15.  At r = 3
+    # a line survives d = 1 and d = 4 alike when it has 3 members, so those agree
+    "r1-n7-k4-d0": "a96b223996bb19ac5408a85e231ac07db191bd16c17dd119b76b66637f5f3d98",
+    "r1-n7-k4-d1": "d0175152d4e25cc19001b803c8241803f6b094270c48f4293a63967b7bf5bb1f",
+    "r1-n7-k4-d4": "c490cca5b2e60724466b3b51072d457b16420adc369e9091e5439ec2c689bab6",
+    "r2-n6-k2-d0": "1afa5372dcfb0660e18989c45e972a118f8b0355835b4f1dba895bcd8ec3d46f",
+    "r2-n6-k2-d1": "2691d74a6d52741cab1e39054aa10c8866fb755b98b34faa5c0eda18d2b7f2ab",
+    "r2-n6-k2-d4": "977d0cb8ad349189a2583f265c412caa434d75a4eda18580bd9953c7e6a290fc",
+    "r3-n5-k2-d0": "2b0f6787bb1ab1fd462e0cb86e7e5268728f721e042cfa2cfe9b742dba14fbe1",
+    "r3-n5-k2-d1": "7461e062f50abeb0d94ed3a32d538ef3988a434ef29abfef147201ec19eb79a7",
+    "r3-n5-k2-d4": "7461e062f50abeb0d94ed3a32d538ef3988a434ef29abfef147201ec19eb79a7",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(WITNESS_CASES))
+def test_grid_witness_matches_frozen_digests(case_id):
+    n, r, k, d = WITNESS_CASES[case_id]
+    witnesses = []
+    for seed in range(16):
+        rng = random.Random(seed)
+        colours = tuple(0 if rng.random() < 0.5 else rng.randrange(k) for _ in range(n**r))
+        witnesses.append(defcol.grid_defect_witness(n, r, defcol.Colouring(colours, k), d))
+    assert sha256(repr(witnesses)) == WITNESS_DIGESTS[case_id]
