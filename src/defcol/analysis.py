@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, _check_covers, _check_seed, mono_counts
+from .engine import Colouring, _check_covers, _check_seed, _labels, mono_counts
 from .generators import coords_to_index, grid
 from .hypergraph import Hypergraph, _runs
 
@@ -71,8 +71,7 @@ def verify(hg: Hypergraph, colouring: Colouring, d: int) -> DefectReport:
         missing = colouring.uncoloured()
         raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")
 
-    # no fixed dtype: labels past int64 become an object array, still exact
-    mono = mono_counts(hg.edge_array(), np.asarray(colouring.colours), hg.n)
+    mono = mono_counts(hg.edge_array(), _labels(colouring), hg.n)
     return DefectReport(
         defect=d,
         mono_degrees=tuple(mono.tolist()),
@@ -237,8 +236,7 @@ def grid_defect_witness(
     elif (hg.n, hg.u, hg.m) != shape:
         raise ValueError(f"hg has (n, u, m) = {(hg.n, hg.u, hg.m)}, grid({n}, {r}) has {shape}")
 
-    # labels below 2**63 fit int64; past that, Python ints keep them exact
-    colours = np.array(colouring.colours, dtype=np.int64 if colouring.num_colours <= 2**63 else object)
+    colours = _labels(colouring)
     labels, sizes = np.unique(colours, return_counts=True)
     best = np.argmax(sizes)  # the first largest class: ties go to the smallest colour
     alive = (colours == labels[best]).reshape((n,) * r)

@@ -105,16 +105,19 @@ class Colouring:
     num_colours: int
 
     def __post_init__(self) -> None:
-        for v, c in enumerate(self.colours):
-            if c is not None and not 0 <= c < self.num_colours:
-                raise ValueError(f"vertex {v} has colour {c}, outside palette 0..{self.num_colours - 1}")
+        labels = set(self.colours)  # the distinct labels, usually far fewer than the vertices
+        labels.discard(None)
+        if labels and not (0 <= min(labels) and max(labels) < self.num_colours):
+            for v, c in enumerate(self.colours):  # only to name the first vertex outside the palette
+                if c is not None and not 0 <= c < self.num_colours:
+                    raise ValueError(f"vertex {v} has colour {c}, outside palette 0..{self.num_colours - 1}")
 
     @property
     def is_total(self) -> bool:
-        return all(c is not None for c in self.colours)
+        return None not in self.colours
 
     def distinct_used(self) -> int:
-        return len({c for c in self.colours if c is not None})
+        return len(set(self.colours) - {None})
 
     def uncoloured(self) -> tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.colours) if c is None)
@@ -174,6 +177,15 @@ def _check_covers(hg: Hypergraph, colouring: Colouring) -> None:
     """Refuse a colouring that does not give exactly one entry to each vertex."""
     if len(colouring.colours) != hg.n:
         raise ValueError(f"colouring covers {len(colouring.colours)} vertices, hypergraph has {hg.n}")
+
+
+def _labels(colouring: Colouring) -> np.ndarray:
+    """A total colouring's labels as one exact array: int64 while the palette fits it, Python ints past 2**63.
+
+    ``np.asarray`` would make float64 of labels on both sides of 2**63, where
+    nearby labels compare equal.
+    """
+    return np.array(colouring.colours, dtype=np.int64 if colouring.num_colours <= 2**63 else object)
 
 
 def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
@@ -405,7 +417,7 @@ def classify(
         raise ValueError("classification needs a total colouring")
     if bad_edge_threshold is None:
         bad_edge_threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
-    colours, edges = np.asarray(colouring.colours), hg.edge_array()
+    colours, edges = _labels(colouring), hg.edge_array()
     bad = _classifier(edges, hg.n, d)(colours)
     terrible = _classifier(edges, hg.n, d, bad_edge_threshold)(colours)
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
@@ -448,27 +460,34 @@ def _resample(
     """Moser-Tardos resampling shared by every round mode.
 
     Draws a uniform k-colouring, then, while ``violated`` flags a vertex,
-    redraws ``support(v)`` of the lowest-index flagged vertex v (each
-    support is computed once and cached).  Stops on success, when the
-    budget (default :func:`default_budget`) is spent, or at once when
-    k == 1: redrawing from a one-colour palette changes nothing.
+    redraws ``support(v)`` of the lowest-index flagged vertex v.  Each
+    support is computed once and interned by its bytes: ``ids[v]`` is the
+    id of v's support in ``distinct`` (-1 until computed), so vertices with
+    equal supports share one id.  Id 0 is the whole vertex set in order.
+    Stops on success, when the budget (default :func:`default_budget`) is
+    spent, or at once when k == 1: redrawing from a one-colour palette
+    changes nothing.
 
     The loop speculates that the target's support S stays the same.  It
     draws the next B redraws of S in one ``rng.integers`` call of shape
     (B, |S|), which yields the same values and leaves the generator in
     the same state as B calls of size |S| (numpy takes bounded integers
     from the bit stream one at a time and keeps a spare 32-bit half in the
-    generator state), and classifies all B rows in one ``violated`` call
-    on a (B, n) array (a :func:`_classifier`, which counts up to 63 rows
-    and bit-slices 64 or more).  Row i is kept while every earlier row
-    flags a vertex whose support is S; the first row that flags nothing,
-    or whose lowest flagged vertex has another support, is the last one
-    kept (supports are computed in that walk order, no further).  If rows
-    were dropped, the generator state saved before the batch is restored and
-    the kept draws are drawn again, so the colours, the resample count and
-    the RNG stream are exactly those of redrawing one support at a time.
-    B starts at 1, doubles after a batch kept whole and drops back to 1
-    after a miss; it never exceeds the budget left or the cap on B * max(m, n).
+    generator state); when S is the whole vertex set that draw is the
+    batch.  One ``violated`` call classifies all B rows (a
+    :func:`_classifier`, which counts up to 63 rows and bit-slices 64 or
+    more).  Row i is kept while every earlier row flags a vertex whose
+    support is S.  The first miss is found over all rows at once: with
+    ``tops`` the lowest flagged vertex of each row, it is the first row
+    that flags nothing or whose ``ids[tops]`` is not S's id; when that row's
+    id is still -1, its support is computed and the search repeats, so
+    supports are computed in row order and no further than the one-at-a-time
+    loop would.  If rows were dropped, the generator state saved before the
+    batch is restored and the kept draws are drawn again, so the colours, the
+    resample count and the RNG stream are exactly those of redrawing one
+    support at a time.  B starts at 1, doubles after a batch kept whole and
+    drops back to 1 after a miss; it never exceeds the budget left or the cap
+    on B * max(m, n).
 
     Returns:
         (colour vector, resamples made, whether no vertex is flagged)
@@ -477,14 +496,16 @@ def _resample(
         budget = default_budget(hg.n)
     rng = np.random.default_rng(seed)
     max_rows = max(1, _BATCH_EDGE_ROWS // max(hg.m, hg.n, 1))
-    supports: dict[int, np.ndarray] = {}
-    interned: dict[bytes, np.ndarray] = {}  # one array per distinct support, compared by identity
+    ids = np.full(hg.n, -1, dtype=np.int64)
+    distinct = [np.arange(hg.n, dtype=np.int64)]
+    interned = {distinct[0].tobytes(): 0}
 
-    def support_of(v: int) -> np.ndarray:
-        if v not in supports:
-            s = np.asarray(support(v), dtype=np.int64)
-            supports[v] = interned.setdefault(s.tobytes(), s)
-        return supports[v]
+    def intern(v: int) -> int:
+        s = np.asarray(support(v), dtype=np.int64)
+        ids[v] = interned.setdefault(s.tobytes(), len(distinct))
+        if ids[v] == len(distinct):
+            distinct.append(s)
+        return int(ids[v])
 
     rows = rng.integers(0, k, size=(1, hg.n), dtype=np.int64)
     flags = violated(rows)
@@ -495,18 +516,31 @@ def _resample(
             return colours, resamples, True
         if resamples >= budget or k == 1:
             return colours, resamples, False
-        target = support_of(int(flagged.argmax()))
+        top = int(flagged.argmax())
+        target = int(ids[top]) if ids[top] >= 0 else intern(top)
         size = min(batch, budget - resamples, max_rows)
         state = rng.bit_generator.state
-        rows = np.repeat(colours[None], size, axis=0)
-        rows[:, target] = rng.integers(0, k, size=(size, target.shape[0]))
+        redrawn = distinct[target]
+        draws = rng.integers(0, k, size=(size, len(redrawn)))
+        if target:
+            rows = np.repeat(colours[None], size, axis=0)
+            rows[:, redrawn] = draws
+        else:  # every vertex, in order: the draws are the rows
+            rows = draws
         flags = violated(rows)
-        hits, tops = flags[:-1].any(axis=1).tolist(), flags[:-1].argmax(axis=1).tolist()
-        misses = (i for i, top in enumerate(tops) if not hits[i] or support_of(top) is not target)
-        kept = next(misses, size - 1) + 1
+        kept = size
+        if size > 1:
+            tops = flags[:-1].argmax(axis=1)
+            empty = ~flags[np.arange(size - 1), tops]
+            while (miss := empty | (ids[tops] != target)).any():
+                first = int(miss.argmax())
+                if empty[first] or ids[tops[first]] >= 0:
+                    kept = first + 1
+                    break
+                intern(int(tops[first]))
         if kept < size:
             rng.bit_generator.state = state
-            rng.integers(0, k, size=(kept, target.shape[0]))
+            rng.integers(0, k, size=(kept, len(redrawn)))
             batch = 1
         else:
             batch *= 2

@@ -25,6 +25,7 @@ every extracted sunflower and every generated instance stayed the same.
 import random
 import re
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -746,6 +747,19 @@ def bounded_degree_edge_lists(draw):
     return n, u, hg.edge_array().tolist()
 
 
+def resample_case(case, form, d, threshold):
+    """(hypergraph, violated, support) of ``nibble_round`` ("terrible") or ``naive-lll`` ("mono-degree")."""
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    array = hg.edge_array()
+    if form == "terrible":
+        if threshold is None:
+            threshold = hg.max_degree * 2.0 ** -(u - 1)
+        return hg, _classifier(array, n, d, threshold), partial(closed_second_neighbourhood, hg)
+    nbr = ref_neighbour_sets(n, edge_tuples(hg))
+    return hg, _classifier(array, n, d), lambda v: sorted(nbr[v] | {v})
+
+
 K5 = (5, 2, [list(e) for e in combinations(range(5), 2)])
 K12 = (12, 2, [list(e) for e in combinations(range(12), 2)])
 
@@ -798,6 +812,49 @@ def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget,
     colours, resamples, succeeded = _resample(hg, k, seed, budget, violated, support)
     expected = ref_resample(n, k, seed, budget, violated, support)
     assert (colours.tolist(), resamples, succeeded) == (expected[0].tolist(), *expected[1:])
+
+
+# Sparse u=3 instances on which a batch of 4 rows misses at row 2: on the
+# first, its lowest flagged vertex has a support not yet computed and unlike
+# the target's; on the second, row 2 flags nothing.
+NEW_SUPPORT_MID_BATCH = (10, 3, [[4, 6, 7], [1, 2, 8], [2, 6, 9], [0, 7, 9], [0, 1, 5]])
+FLAGLESS_MID_BATCH = (10, 3, [
+    [0, 3, 5], [4, 7, 8], [0, 6, 7], [0, 2, 5], [1, 3, 8], [4, 5, 6], [4, 6, 9], [1, 2, 7], [2, 3, 8],
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(edge_lists(valid=True, max_n=24, max_m=40), bounded_degree_edge_lists()),
+    st.sampled_from(["terrible", "mono-degree"]),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(1, 600),
+    st.sampled_from([None, 0.0, -1.0]),
+    st.integers(0, 2**32),
+)
+@example(case=NEW_SUPPORT_MID_BATCH, form="terrible", k=2, d=0, budget=200, threshold=None, seed=0)
+@example(case=FLAGLESS_MID_BATCH, form="terrible", k=2, d=0, budget=200, threshold=None, seed=1)
+# every support is the whole graph, so every batch is one whole-support draw;
+# on K_12 a new lowest flagged vertex has its support computed inside a batch
+# (at rows 0 of 2 and 16 of 32), which joins the target's
+@example(case=K5, form="terrible", k=3, d=0, budget=300, threshold=-1.0, seed=0)
+@example(case=K12, form="terrible", k=4, d=1, budget=600, threshold=None, seed=0)
+@example(case=K12, form="mono-degree", k=4, d=2, budget=600, threshold=None, seed=0)
+def test_batched_resample_computes_the_supports_of_the_serial_loop(case, form, k, d, budget, threshold, seed):
+    """``support`` is called on the same vertices, in the same order, as by the serial loop."""
+    hg, violated, support = resample_case(case, form, d, threshold)
+
+    def recorder(log):
+        def recorded(v):
+            log.append(v)
+            return support(v)
+        return recorded
+
+    batched, serial = [], []
+    _resample(hg, k, seed, budget, violated, recorder(batched))
+    ref_resample(hg.n, k, seed, budget, violated, recorder(serial))
+    assert batched == serial
 
 
 # -- degree, equality, the bad-vertex probe and the grid witness ---------------------

@@ -52,6 +52,28 @@ class TestColouring:
     def test_total(self):
         assert Colouring((0, 0), 1).is_total
 
+    @pytest.mark.parametrize("colours, num_colours, message", [
+        ((None, 3, None, 1), 2, "vertex 1 has colour 3, outside palette 0..1"),
+        ((0, None, -1, 5), 2, "vertex 2 has colour -1, outside palette 0..1"),
+        ((1, 0, 2), 2, "vertex 2 has colour 2, outside palette 0..1"),
+        ((2**70 - 1, 2**70), 2**70, f"vertex 1 has colour {2**70}, outside palette 0..{2**70 - 1}"),
+    ], ids=["none-entries", "negative", "palette-size", "past-int64"])
+    def test_names_the_first_vertex_outside_the_palette(self, colours, num_colours, message):
+        with pytest.raises(ValueError) as info:
+            Colouring(colours, num_colours)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("colours, num_colours, total, used", [
+        ((None, None), 0, False, 0),
+        ((None, 1, None, 1), 2, False, 1),
+        ((2**70, None, 2**70 + 1, 0), 2**70 + 2, False, 3),
+        ((2**70, 2**70 + 1, 2**70), 2**70 + 2, True, 2),
+    ], ids=["all-none", "some-none", "past-int64-partial", "past-int64-total"])
+    def test_accepts_labels_inside_the_palette(self, colours, num_colours, total, used):
+        c = Colouring(colours, num_colours)
+        assert (c.is_total, c.distinct_used()) == (total, used)
+        assert c.uncoloured() == tuple(v for v, x in enumerate(colours) if x is None)
+
 
 def test_uniform_colouring_deterministic_and_in_range():
     hg = complete(6, 3)
@@ -102,6 +124,18 @@ class TestClassify:
     def test_rainbow_is_calm(self):
         bad, terrible = classify(TRIANGLE, Colouring((0, 1, 2), 3), 0)
         assert bad == set() and terrible == set()
+
+    @pytest.mark.parametrize("base, num_colours", [(2**63, 2**64), (2**70, 2**70 + 2)])
+    def test_labels_either_side_of_2_63_stay_apart(self, base, num_colours):
+        """As float64, 2**63 and 2**63 + 1 are one number; verify and classify keep them two colours."""
+        edge = Hypergraph(3, 2, [(1, 2)])
+        split = Colouring((0, base, base + 1), num_colours)
+        assert classify(edge, split, 0) == (set(), set())
+        assert verify(edge, split, 0).mono_degrees == (0, 0, 0)
+        assert verify(edge, split, 0).violating == ()
+        same = Colouring((0, base + 1, base + 1), num_colours)
+        assert classify(edge, same, 0) == ({1, 2}, {1, 2})
+        assert (verify(edge, same, 0).mono_degrees, verify(edge, same, 0).violating) == ((0, 1, 1), (1, 2))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_vectorised_form(self, seed):
