@@ -240,6 +240,8 @@ def _cmd_maxcut(args: argparse.Namespace, hg: Hypergraph) -> _Result:
 
 
 def _cmd_color(args: argparse.Namespace, hg: Hypergraph) -> _Result:
+    if args.budget is not None and args.mode in ("graph-maxcut", "greedy-proper"):
+        raise ValueError(f"--budget does not apply to mode {args.mode}: it never resamples")
     config = EngineConfig(mode=args.mode, defect=args.defect, seed=args.seed, budget=args.budget)
     try:
         result = run_engine(hg, config)
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(MODES), default="theorem")
     p.add_argument("--defect", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="resampling budget (default 1000n)")
+    p.add_argument("--budget", type=int, default=None, help="resampling budget (default 64n)")
     p.add_argument("--out", default=None, help="write 'vertex colour' lines here")
 
     p = command("verify", _cmd_verify, "check an assignment file against a defect bound")

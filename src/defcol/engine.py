@@ -93,8 +93,17 @@ class BudgetExhaustedError(RuntimeError):
 
 
 def default_budget(n: int) -> int:
-    """Default resample budget for one round: 1000 per vertex."""
-    return max(1, 1000 * n)
+    """Default resample budget for one round or probe: 64 per vertex.
+
+    Moser & Tardos (JACM 2010, Thm 1.2) bound the expected number of
+    resamples by the sum of x/(1-x) over the events, x being the Local
+    Lemma weights.  The events are one per vertex, so when the condition
+    holds with every x <= 1/2 that sum is at most n, and by Markov's
+    inequality a run passes 64n resamples with probability at most 1/64.
+    A run that does is evidence that the condition fails at this palette,
+    as it does on adaptive's failing probes.
+    """
+    return max(1, 64 * n)
 
 
 @dataclass(frozen=True)
@@ -450,6 +459,8 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
 # 0.152 s and 42.1 MB at 2^18, 0.161 s and 43.7 MB at 2^19, 0.140 s and
 # 47.7 MB at 2^20.  Past 2^18 the time stops falling (the spread between
 # rounds is 0.03-0.04 s there) while peak memory keeps growing with B.
+# Those runs used a default budget of 1000n; at 64n the same probes stop at
+# batches of 1024 rows, under the cap.
 _BATCH_EDGE_ROWS = 2**18
 
 

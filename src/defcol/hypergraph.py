@@ -294,8 +294,7 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 # The bytes format_instance writes; any other leaves the text to the line parser
-_PLAIN = np.zeros(256, dtype=bool)
-_PLAIN[list(b"0123456789 \t\n")] = True
+_PLAIN = b"0123456789 \t\n"
 
 
 def _read_array(text: str) -> tuple[int, int, np.ndarray] | None:
@@ -305,7 +304,7 @@ def _read_array(text: str) -> tuple[int, int, np.ndarray] | None:
     numpy read of the whole text also shows where the lines end.  Returns
     None whenever the text is anything else; the line parser then judges it.
     """
-    if not (text.isascii() and _PLAIN[np.frombuffer(text.encode("ascii"), dtype=np.uint8)].all()):
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
         return None
     lines = text.replace("\n", " -1 ") + ("" if text.endswith("\n") else " -1")
     values = np.fromstring(lines, dtype=np.int64, sep=" ")

@@ -155,6 +155,16 @@ class TestColorAndVerify:
         assert main(["color", h3, "--mode", "naive-lll", "--defect", "0"]) == 1
         assert "out of resamples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["graph-maxcut", "greedy-proper"])
+    def test_budget_on_a_mode_that_never_resamples_is_a_usage_error(self, mode, c5, tmp_path, capsys):
+        rec = tmp_path / "r.json"
+        argv = ["color", c5, "--mode", mode, "--defect", "1", "--budget", "5", "--json", str(rec)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --budget does not apply to mode {mode}: it never resamples\n")
+        assert not rec.exists()
+        assert main(argv[:-4] + argv[-2:]) == 0  # the same call without --budget
+
 
 class TestExactAndProbe:
     def test_exact_spot(self, c5, capsys):

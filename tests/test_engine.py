@@ -1,6 +1,7 @@
 """Colouring engine: elementary operations, resampling rounds, full modes."""
 
 import math
+import random
 import tracemalloc
 from itertools import combinations, product
 
@@ -17,6 +18,7 @@ from defcol import (
     adaptive_colouring,
     classify,
     complete,
+    default_budget,
     graph_maxcut_colouring,
     greedy_proper,
     linear_lll_colouring,
@@ -355,6 +357,13 @@ class TestNibbleRound:
         with pytest.raises(ValueError):
             nibble_round(TRIANGLE, -1, 2)
 
+    def test_default_budget_is_64_resamples_per_vertex(self):
+        assert (default_budget(0), default_budget(35)) == (1, 2240)
+        # the adaptive-resample benchmark's a35 instance, whose k=2 probe fails
+        hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
+        _, residual, trace = nibble_round(hg, 1, 2)
+        assert (trace.succeeded, trace.resamples, residual) == (False, 2240, None)
+
 
 def check_traces_tile_palette(colouring, traces):
     assert colouring.num_colours == sum(t.palette_size for t in traces)
@@ -563,3 +572,27 @@ class TestRunEngine:
         hg = random_bounded_degree(30, 3, 15, 90, seed=50)
         cfg = EngineConfig(mode="adaptive", defect=1, seed=9)
         assert run_engine(hg, cfg).colouring == run_engine(hg, cfg).colouring
+
+
+# adaptive's palettes on 60 small seeded instances at the default budget of
+# 64n; the comments give the palettes that moved from those at 1000n (373
+# colours in all then, 383 now)
+SWEEP_PALETTES = (
+    5, 12, 17, 3, 14, 4, 4, 3, 8, 4,  # [2] was 15
+    5, 5, 3, 10, 15, 4, 3, 4, 17, 3,  # [10] was 4, [18] was 18
+    5, 15, 5, 3, 6, 7, 10, 5, 11, 4,  # [25] was 5, [26] was 9, [28] was 9
+    5, 8, 4, 4, 20, 3, 4, 5, 12, 3,  # [34] was 18, [38] was 11
+    3, 4, 3, 4, 6, 5, 5, 5, 3, 5,
+    13, 5, 5, 5, 6, 5, 5, 5, 3, 6,
+)
+
+
+def test_adaptive_palettes_at_the_default_budget_are_frozen():
+    rnd = random.Random(5)
+    palettes = []
+    for i in range(60):
+        n, u = rnd.randint(20, 80), rnd.choice((2, 3, 3, 4))
+        max_degree, d = rnd.randint(9, 20), rnd.choice((0, 1, 1, 2))
+        hg = random_bounded_degree(n, u, max_degree, n * max_degree // u, seed=i)
+        palettes.append(adaptive_colouring(hg, d, i)[0].num_colours)
+    assert tuple(palettes) == SWEEP_PALETTES

@@ -17,7 +17,7 @@ row into one flat ``bincount``, before it classified batches vertex-major.
 ``adaptive-a35-d0-b3000`` was frozen from the vertex-major counting kernel,
 before batches of 64 rows or more were classified bit-sliced.  Those two
 a35 cases are the only ones that run the wide-batch path: their k=2 probes
-spend whole budgets in batches of up to 1317 rows of one bit plane, and the
+spend whole budgets in batches of up to 1024 rows of one bit plane, and the
 d=0 case's k=3 probe succeeds at row 150 of a 512-row batch of two bit
 planes, so the generator is restored and the kept rows drawn again.
 
@@ -105,8 +105,8 @@ CASES = {
     "adaptive-resample-u2": (("random", 40, 2, 12, 100, 2), "adaptive", 1, 1, 600, None),
     "adaptive-resample-u3": (("random", 60, 3, 10, 150, 2), "adaptive", 0, 1, 200, None),
     # the adaptive-resample benchmark's a35 instance at seed 7: every support is
-    # the whole graph, so the k=2 probe spends all of its 35000 resamples in
-    # batches that grow to the size cap and are kept whole
+    # the whole graph, so the k=2 probe spends all of its 2240 resamples in
+    # batches that double up to 1024 rows and are kept whole
     "adaptive-default-a35": (("random", 35, 3, 18, 199, 7000), "adaptive", 1, 0, None, None),
     # the same instance at d=0: the k=2 probe spends its budget of 3000 in wide
     # batches of one bit plane, and the k=3 probe succeeds after 661 resamples

@@ -68,9 +68,7 @@ def test_workload_records_its_required_spans(name, tmp_path, monkeypatch):
             for call in workload.calls:
                 instance = str(tmp_path / f"{call.instance}.txt")
                 if call.command == "color":
-                    # a small budget keeps adaptive's failing probes short
-                    argv = ["color", instance, "--mode", call.mode,
-                            "--defect", str(call.defect), "--budget", "200"]
+                    argv = ["color", instance, "--mode", call.mode, "--defect", str(call.defect)]
                 else:
                     argv = ["sunflower", instance, "--petals", str(call.petals)]
                 assert cli.main(argv) == 0
