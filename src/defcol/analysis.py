@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, _check_covers, _check_seed, _labels, mono_counts
+from .engine import Colouring, _check_defect, _check_seed, _labels, _total_labels, mono_counts
 from .generators import coords_to_index, grid
 from .hypergraph import Hypergraph, _runs
 
@@ -64,14 +64,8 @@ def verify(hg: Hypergraph, colouring: Colouring, d: int) -> DefectReport:
     Raises:
         ValueError: if any vertex is uncoloured or d < 0.
     """
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
-    _check_covers(hg, colouring)
-    if not colouring.is_total:
-        missing = colouring.uncoloured()
-        raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")
-
-    mono = mono_counts(hg.edge_array(), _labels(colouring), hg.n)
+    _check_defect(d)
+    mono = mono_counts(hg.edge_array(), _total_labels(hg, colouring), hg.n)
     return DefectReport(
         defect=d,
         mono_degrees=tuple(mono.tolist()),
@@ -97,8 +91,7 @@ def find_defective_colouring(
     _guard(hg.n, force)
     if k < 1:
         raise ValueError(f"palette must have >= 1 colours, got {k}")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
+    _check_defect(d)
 
     edges = hg.edge_array()
     last = edges[:, -1]
@@ -228,8 +221,7 @@ def grid_defect_witness(
         raise ValueError(f"colouring covers {len(colouring.colours)} vertices, grid has {n ** r}")
     if not colouring.is_total:
         raise ValueError("grid witness needs a total colouring")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
+    _check_defect(d)
     shape = (n**r, r + 1, (n * (n - 1) // 2) ** r)
     if hg is None:
         hg = grid(n, r)

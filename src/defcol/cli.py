@@ -200,8 +200,6 @@ def _cmd_generate(args: argparse.Namespace, _: None) -> _Result:
 
 
 def _cmd_sunflower(args: argparse.Namespace, hg: Hypergraph) -> _Result:
-    if args.petals < 1:
-        raise ValueError(f"petal count must be >= 1, got {args.petals}")
     result = decompose(hg, args.petals)
     for i, sf in enumerate(result.sunflowers):
         core = ",".join(map(str, sf.core)) or "-"

@@ -157,8 +157,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.defect < 0:
-            raise ValueError(f"defect must be >= 0, got {self.defect}")
+        _check_defect(self.defect)
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
 
@@ -182,10 +181,20 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _check_covers(hg: Hypergraph, colouring: Colouring) -> None:
-    """Refuse a colouring that does not give exactly one entry to each vertex."""
+def _check_defect(d: int) -> None:
+    """Refuse a negative defect bound."""
+    if d < 0:
+        raise ValueError(f"defect must be >= 0, got {d}")
+
+
+def _total_labels(hg: Hypergraph, colouring: Colouring) -> np.ndarray:
+    """The :func:`_labels` of a colouring; refuses one of another length than ``hg`` or with an uncoloured vertex."""
     if len(colouring.colours) != hg.n:
         raise ValueError(f"colouring covers {len(colouring.colours)} vertices, hypergraph has {hg.n}")
+    if not colouring.is_total:
+        missing = colouring.uncoloured()
+        raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")
+    return _labels(colouring)
 
 
 def _labels(colouring: Colouring) -> np.ndarray:
@@ -412,7 +421,9 @@ def classify(
 ) -> tuple[set[int], set[int]]:
     """Split vertices into bad and terrible under a total colouring.
 
-    A vertex is bad when its monochromatic degree is at least d+1.  An
+    The colouring must pass the total-colouring check that
+    ``analysis.verify`` also runs (:func:`_total_labels`).  A vertex is bad
+    when its monochromatic degree is at least d+1.  An
     edge is bad when every one of its vertices is bad (it need not be
     monochromatic itself).  A vertex is terrible when it lies in strictly
     more bad edges than the threshold, which defaults to 2^(-r) * max
@@ -421,12 +432,9 @@ def classify(
     Returns:
         (bad vertices, terrible vertices)
     """
-    _check_covers(hg, colouring)
-    if not colouring.is_total:
-        raise ValueError("classification needs a total colouring")
+    colours, edges = _total_labels(hg, colouring), hg.edge_array()
     if bad_edge_threshold is None:
         bad_edge_threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
-    colours, edges = _labels(colouring), hg.edge_array()
     bad = _classifier(edges, hg.n, d)(colours)
     terrible = _classifier(edges, hg.n, d, bad_edge_threshold)(colours)
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
@@ -583,8 +591,7 @@ def nibble_round(
     """
     if k < 1:
         raise ValueError(f"palette must have >= 1 colours, got {k}")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
+    _check_defect(d)
     _check_seed(seed)
     if threshold is None:
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
@@ -622,8 +629,7 @@ def linear_lll_colouring(
     """
     if hg.u < 2:
         raise ValueError("needs uniformity >= 2")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
+    _check_defect(d)
     _check_seed(seed)
     if not hg.is_linear():
         raise ValueError("hypergraph is not linear (two edges share two or more vertices)")
@@ -646,41 +652,43 @@ def linear_lll_colouring(
 # -- the round driver -----------------------------------------------------------
 
 
-def _formula_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int):
-    """Theorem palette: k = floor(49 * (bound/(d+1))^(1/r)), doubled up to 5 times."""
+def _formula_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int) -> _Probe | None:
+    """Theorem palette: k = floor(49 * (bound/(d+1))^(1/r)), doubled up to 5 times.
+
+    Returns the first succeeding probe, or None when all six fail.
+    """
     k = math.floor(49.0 * (bound / (d + 1)) ** (1.0 / r))
-    for probes in range(1, 7):
+    for _ in range(6):
         found = attempt(k)
         if found[2].succeeded:
-            return found, probes
+            return found
         k *= 2
-    return None, 6
+    return None
 
 
-def _searched_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int):
+def _searched_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int) -> _Probe | None:
     """Adaptive palette: double k from 1 to the first success, then bisect down.
 
     Doubling stops past 2 * (bound + 1); greedy would use fewer colours.
+    Returns the succeeding probe of the smallest k, or None when doubling finds none.
     """
-    found, probes, k = None, 0, 1
+    k = 1
     while k <= 2 * (bound + 1):
-        probes += 1
         found = attempt(k)
         if found[2].succeeded:
             break
         k *= 2
     else:
-        return None, probes
+        return None
     lo, hi = k // 2 + 1, k
     while lo < hi:
         mid = (lo + hi) // 2
-        probes += 1
         outcome = attempt(mid)
         if outcome[2].succeeded:
             hi, found = mid, outcome
         else:
             lo = mid + 1
-    return found, probes
+    return found
 
 
 def _endgame(current: Hypergraph, d: int) -> tuple[Colouring, tuple[int, ...], RoundTrace]:
@@ -694,7 +702,7 @@ def _endgame(current: Hypergraph, d: int) -> tuple[Colouring, tuple[int, ...], R
 
 def _round_colouring(
     hg: Hypergraph, d: int, seed: int, budget: int | None, halving: bool,
-    palette_step: Callable[[Callable[[int], _Probe], float, int, int], tuple[_Probe | None, int]],
+    palette_step: Callable[[Callable[[int], _Probe], float, int, int], _Probe | None],
 ) -> tuple[Colouring, tuple[RoundTrace, ...]]:
     """The round driver behind :func:`nibble_colouring` and :func:`adaptive_colouring`.
 
@@ -703,12 +711,12 @@ def _round_colouring(
     it exceeds max(d, 8) and the residual's degree exceeds d,
     ``palette_step`` probes ``nibble_round`` at threshold bound * 2^(-r),
     each probe taking the next 63 bits of ``random.Random(seed)``;
-    otherwise, or when no probe succeeds, :func:`_endgame` finishes.
+    otherwise, or when no probe succeeds, :func:`_endgame` finishes.  The
+    driver counts every probe, failures included, into the round's trace.
     """
     if hg.u < 2:
         raise ValueError("round colouring needs uniformity >= 2")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
+    _check_defect(d)
 
     master = random.Random(seed)
     r = hg.u - 1
@@ -722,21 +730,22 @@ def _round_colouring(
     while alive:
         if not halving:
             bound = float(current.max_degree)
-        found, probes = None, 1
+        found, tried = None, []
         if current.max_degree > d and bound > max(d, SMALL_DEGREE_CUTOFF):
             threshold = bound * 2.0 ** -r
 
             def attempt(k: int) -> _Probe:
+                tried.append(k)
                 # looked up at call time, so wrappers of nibble_round see every probe
                 return nibble_round(current, d, k, threshold, budget, master.getrandbits(63))
 
-            found, probes = palette_step(attempt, bound, d, r)
+            found = palette_step(attempt, bound, d, r)
         partial, residual, trace = found or _endgame(current, d)
         for local, c in enumerate(partial.colours):
             if c is not None:
                 out[alive[local]] = offset + c
         traces.append(
-            replace(trace, index=len(traces), palette_start=offset, degree_bound=bound, probes=probes)
+            replace(trace, index=len(traces), palette_start=offset, degree_bound=bound, probes=len(tried) or 1)
         )
         offset += partial.num_colours
         if residual:
@@ -807,8 +816,7 @@ def graph_maxcut_colouring(hg: Hypergraph, d: int, seed: int = 0) -> Colouring:
 
     if hg.u != 2:
         raise ValueError(f"needs a 2-uniform hypergraph, got uniformity {hg.u}")
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
+    _check_defect(d)
     num_parts = hg.max_degree // (d + 1) + 1
     return Colouring(max_cut_search(hg, num_parts, seed).partition.parts, num_parts)
 

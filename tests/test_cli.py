@@ -15,7 +15,12 @@ import pytest
 import defcol
 from defcol import Hypergraph, format_instance, parse_instance
 from defcol.cli import main
-from defcol.engine import BudgetExhaustedError
+from defcol.engine import BudgetExhaustedError, Colouring, EngineResult
+
+
+def monochrome_engine(hg, config):
+    """A stand-in for run_engine that gives every vertex colour 0, valid only without edges."""
+    return EngineResult(config.mode, Colouring((0,) * hg.n, 1), ())
 
 
 @pytest.fixture
@@ -132,6 +137,17 @@ class TestColorAndVerify:
             f.write_text(text)
             assert main(["verify", c5, str(f), "--defect", "0"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n1 1 2\n", "expected 'vertex colour', got '1 1 2'"),
+        ("0 0\n5 1\n", "vertex 5 outside 0..4"),
+        ("0 0\n1 -1\n", "colour -1 is negative"),
+    ], ids=["three-fields", "vertex-out-of-range", "negative-colour"])
+    def test_assignment_line_errors_name_the_line(self, text, message, c5, tmp_path, capsys):
+        f = tmp_path / "a.col"
+        f.write_text(text)
+        assert main(["verify", c5, str(f), "--defect", "0"]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
     def test_unassigned_vertex_names_the_file(self, c5, tmp_path, capsys):
         partial = tmp_path / "a.txt"
         partial.write_text("0 0\n1 1\n3 0\n4 1\n")
@@ -154,6 +170,13 @@ class TestColorAndVerify:
         monkeypatch.setattr("defcol.cli.run_engine", explode)
         assert main(["color", h3, "--mode", "naive-lll", "--defect", "0"]) == 1
         assert "out of resamples" in capsys.readouterr().err
+
+    def test_invalid_engine_colouring_exits_one(self, c5, monkeypatch, capsys):
+        monkeypatch.setattr("defcol.cli.run_engine", monochrome_engine)
+        assert main(["color", c5, "--mode", "theorem", "--defect", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert "verifier: ok" not in out
+        assert err == "INVALID: violating vertices [0, 1, 2, 3, 4]\n"
 
     @pytest.mark.parametrize("mode", ["graph-maxcut", "greedy-proper"])
     def test_budget_on_a_mode_that_never_resamples_is_a_usage_error(self, mode, c5, tmp_path, capsys):
@@ -224,6 +247,12 @@ class TestDecompositionCommands:
         out = capsys.readouterr().out
         assert re.search(r"leftover \d+ \(bound 48\)", out)
 
+    def test_no_petals_is_a_usage_error(self, h3, tmp_path, capsys):
+        rec = tmp_path / "r.json"
+        assert main(["sunflower", h3, "--petals", "0", "--json", str(rec)]) == 2
+        assert capsys.readouterr() == ("", "error: petal count must be >= 1, got 0\n")
+        assert not rec.exists()
+
     def test_maxcut(self, h3, tmp_path, capsys):
         parts = tmp_path / "p.txt"
         assert main(["maxcut", h3, "--parts", "3", "--out", str(parts)]) == 0
@@ -258,6 +287,25 @@ class TestBench:
 
     def test_unknown_suite(self):
         assert main(["bench", "--suite", "nope"]) == 2
+
+    def test_invalid_colouring_exits_one_without_a_record(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("defcol.cli.run_engine", monochrome_engine)
+        rec = tmp_path / "b.json"
+        assert main(["bench", "--suite", "graphs-small", "--json", str(rec)]) == 1
+        assert capsys.readouterr().err == "INVALID colouring on graph-n20\n"
+        assert not rec.exists()
+
+    def test_budget_exhaustion_exits_one(self, tmp_path, monkeypatch, capsys):
+        def explode(hg, config):
+            raise BudgetExhaustedError("out of resamples")
+
+        monkeypatch.setattr("defcol.cli.run_engine", explode)
+        rec = tmp_path / "b.json"
+        assert main(["bench", "--suite", "uniform3-small", "--json", str(rec)]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("instance") and len(out.splitlines()) == 1  # the header, no row
+        assert err == "error: out of resamples\n"
+        assert not rec.exists()
 
 
 # subcommand: (argv, the record's params but for "command").  Placeholders name

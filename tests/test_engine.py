@@ -118,6 +118,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(TRIANGLE, Colouring((0, None, 0), 1), 0)
 
+    @pytest.mark.parametrize("check", [classify, verify], ids=["classify", "verify"])
+    def test_partial_colouring_message_is_shared_with_verify(self, check):
+        with pytest.raises(ValueError, match=r"^colouring leaves 1 vertices uncoloured \(first: \(1,\)\)$"):
+            check(TRIANGLE, Colouring((0, None, 0), 1), 0)
+
     @pytest.mark.parametrize("length", [2, 4])
     def test_refuses_a_colouring_of_another_length(self, length):
         with pytest.raises(ValueError, match=f"colouring covers {length} vertices, hypergraph has 3"):
@@ -457,6 +462,12 @@ class TestLinearLLL:
         colouring, _ = linear_lll_colouring(hg, 1, seed=seed)
         assert verify(hg, colouring, 1).is_defective
 
+    def test_refuses_unit_edges_and_a_negative_defect(self):
+        with pytest.raises(ValueError, match="needs uniformity >= 2"):
+            linear_lll_colouring(Hypergraph(3, 1, [(0,), (1,)]), 0)
+        with pytest.raises(ValueError, match="defect must be >= 0, got -1"):
+            linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), -1)
+
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1, seed=-3)
@@ -476,6 +487,10 @@ class TestGraphMaxcut:
     def test_rejects_hypergraphs(self):
         with pytest.raises(ValueError):
             graph_maxcut_colouring(complete(4, 3), 1)
+
+    def test_rejects_a_negative_defect(self):
+        with pytest.raises(ValueError, match="defect must be >= 0, got -1"):
+            graph_maxcut_colouring(TRIANGLE, -1)
 
     @pytest.mark.parametrize("seed,d", [(0, 0), (1, 1), (2, 2), (3, 5)])
     def test_exact_palette_size(self, seed, d):

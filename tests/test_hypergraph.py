@@ -75,6 +75,12 @@ class TestConstruction:
         assert a == b
         assert a != Hypergraph(4, 2, [(0, 1)])
 
+    def test_equality_with_another_type_is_false(self):
+        assert (Hypergraph(3, 3, []) == 5) is False
+
+    def test_repr(self):
+        assert repr(Hypergraph(4, 2, [(0, 1), (2, 3)])) == "Hypergraph(n=4, u=2, m=2)"
+
 
 class TestIncidence:
     def setup_method(self):
@@ -180,6 +186,15 @@ class TestTextFormat:
         with pytest.raises(InstanceFormatError) as exc:
             parse_instance("3 1 2\n0 x\n")
         assert exc.value.line == 2
+
+    def test_misplaced_line_break_goes_to_the_line_parser(self):
+        """The value count fits two edges of two, but the first line holds three."""
+        with pytest.raises(InstanceFormatError, match="^line 2: edge line must list 2 vertices, got 3$"):
+            parse_instance("4 2 2\n0 1 2\n3\n")
+
+    def test_unit_uniformity_is_not_written(self):
+        with pytest.raises(ValueError, match="uniformity >= 2"):
+            format_instance(Hypergraph(3, 1, [(0,)]))
 
 
 @st.composite

@@ -162,6 +162,10 @@ class TestDecompose:
         hg = random_bounded_degree(15, 4, 8, 60, seed=11)
         assert decompose(hg, 3) == decompose(hg, 3)
 
+    def test_needs_a_petal(self):
+        with pytest.raises(ValueError, match="petal count must be >= 1, got 0"):
+            decompose(Hypergraph(3, 3, []), 0)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4))
