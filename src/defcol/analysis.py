@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -270,6 +271,25 @@ class ProbeStats:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
+# Trials drawn and counted per step of the probes, so their memory stays flat however many are asked for.
+_PROBE_ROWS = 2**16
+
+
+def _count_trials(k: int, trials: int, seed: int, width: int, hit: Callable[[np.ndarray], np.ndarray]) -> ProbeStats:
+    """How many of ``trials`` rows of ``width`` uniform int32 colours below k ``hit`` flags.
+
+    The rows are drawn ``_PROBE_ROWS`` at a time; numpy takes bounded int32 values from
+    the stream one at a time, so the chunks hold the values of one (trials, width) draw.
+    """
+    _check_seed(seed)
+    rng = np.random.default_rng(seed)
+    count = 0
+    for start in range(0, trials, _PROBE_ROWS):
+        draws = rng.integers(0, k, size=(min(_PROBE_ROWS, trials - start), width), dtype=np.int32)
+        count += np.count_nonzero(hit(draws))
+    return ProbeStats(trials, count)
+
+
 def probe_mono_edge(hg: Hypergraph, k: int, trials: int, seed: int = 0) -> ProbeStats:
     """Estimate the probability that the first edge comes out monochromatic.
 
@@ -280,11 +300,7 @@ def probe_mono_edge(hg: Hypergraph, k: int, trials: int, seed: int = 0) -> Probe
         raise ValueError("needs at least one edge")
     if not 1 <= k <= 2**31 or trials < 1:  # the colours are drawn as int32
         raise ValueError(f"need 1 <= k <= 2**31 and trials >= 1, got k={k}, trials={trials}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, k, size=(trials, hg.u), dtype=np.int32)
-    hits = (draws == draws[:, :1]).all(axis=1)
-    return ProbeStats(trials, int(hits.sum()))
+    return _count_trials(k, trials, seed, hg.u, lambda draws: (draws == draws[:, :1]).all(axis=1))
 
 
 def probe_bad_vertex(
@@ -296,23 +312,19 @@ def probe_bad_vertex(
     lives inside it.  Compare the estimate against
     :func:`bad_vertex_ceiling`, the Markov bound deg(v) * k^(-r) / (d+1).
     """
-    if not 0 <= v < hg.n:
-        raise ValueError(f"vertex {v} outside 0..{hg.n - 1}")
+    hg._check_vertex(v)
     if not 1 <= k <= 2**31 or trials < 1 or d < 0:  # the colours are drawn as int32
         raise ValueError(f"need 1 <= k <= 2**31, trials >= 1, d >= 0; got k={k}, trials={trials}, d={d}")
-    _check_seed(seed)
     edges = hg.edge_array()
     through = edges[(edges == v).any(axis=1)]
     support = np.union1d(through, [v])  # sorted, and {v} alone when v is isolated
+    columns = np.searchsorted(support, through)
 
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, k, size=(trials, len(support)), dtype=np.int32)
-    mono_count = np.zeros(trials, dtype=np.int64)
-    for cols in np.searchsorted(support, through):
-        sub = draws[:, cols]
-        mono_count += (sub == sub[:, :1]).all(axis=1)
-    hits = mono_count >= d + 1
-    return ProbeStats(trials, int(hits.sum()))
+    def bad(draws: np.ndarray) -> np.ndarray:
+        mono = [(draws[:, cols] == draws[:, cols[:1]]).all(axis=1) for cols in columns]
+        return np.sum(mono, axis=0, dtype=np.int64) >= d + 1  # 0 >= d + 1 when v lies on no edge
+
+    return _count_trials(k, trials, seed, len(support), bad)
 
 
 def bad_vertex_ceiling(hg: Hypergraph, v: int, k: int, d: int) -> float:

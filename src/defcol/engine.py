@@ -15,8 +15,8 @@ monochromatic edges.  The engine offers five modes:
 
 One round driver runs ``theorem`` and ``adaptive``; they differ only in
 how the degree bound moves (halving, or the residual's actual max degree)
-and in the palette step (the formula with doublings, or a search that
-doubles and then bisects).  One Moser-Tardos loop serves ``nibble_round``
+and in the palette step (one probe at the formula's palette, or a search
+that doubles and then bisects).  One Moser-Tardos loop serves ``nibble_round``
 and ``naive-lll``: it redraws the cached variable support of the
 lowest-index violated vertex until none is left.  It does so speculatively,
 in batches: while that support stays the same it draws a run of redraws at
@@ -58,6 +58,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import partition
 from .hypergraph import Hypergraph, _incidence
 
 __all__ = [
@@ -459,16 +460,12 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
 
 
 # Cap on B * max(m, n), the edge-rows (or vertex-rows, on instances with more
-# vertices than edges) one speculative batch holds.  With the bit-sliced
-# kernel, measured by ``perfbench/run.py --workload adaptive-resample --seed 7
-# --seconds 8`` (m = 199-228, so 1149-1317 rows at 2^18), 2 vCPU, caps
-# interleaved over 3 rounds, median `wall_s` and `peak_rss_mb`: 0.252 s and
-# 40.6 MB at 2^15, 0.177 s and 40.7 MB at 2^16, 0.159 s and 41.1 MB at 2^17,
-# 0.152 s and 42.1 MB at 2^18, 0.161 s and 43.7 MB at 2^19, 0.140 s and
-# 47.7 MB at 2^20.  Past 2^18 the time stops falling (the spread between
-# rounds is 0.03-0.04 s there) while peak memory keeps growing with B.
-# Those runs used a default budget of 1000n; at 64n the same probes stop at
-# batches of 1024 rows, under the cap.
+# vertices than edges) one speculative batch holds: a memory bound, which
+# binds only where B * max(m, n) would pass 2^18.  It was tuned at a default
+# budget of 1000n, where the adaptive-resample probes (m = 199-228, so
+# 1149-1317 rows at 2^18) reached it; past 2^18 their time stopped falling
+# while peak memory kept growing with B.  At the default of 64n the same
+# probes stop at batches of 1024 rows, under the cap.
 _BATCH_EDGE_ROWS = 2**18
 
 
@@ -653,17 +650,9 @@ def linear_lll_colouring(
 
 
 def _formula_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int) -> _Probe | None:
-    """Theorem palette: k = floor(49 * (bound/(d+1))^(1/r)), doubled up to 5 times.
-
-    Returns the first succeeding probe, or None when all six fail.
-    """
-    k = math.floor(49.0 * (bound / (d + 1)) ** (1.0 / r))
-    for _ in range(6):
-        found = attempt(k)
-        if found[2].succeeded:
-            return found
-        k *= 2
-    return None
+    """Theorem palette: one probe at k = floor(49 * (bound/(d+1))^(1/r)); None when it fails."""
+    found = attempt(math.floor(49.0 * (bound / (d + 1)) ** (1.0 / r)))
+    return found if found[2].succeeded else None
 
 
 def _searched_palette(attempt: Callable[[int], _Probe], bound: float, d: int, r: int) -> _Probe | None:
@@ -776,8 +765,8 @@ def nibble_colouring(
     most d, else a greedy proper colouring.  (A round runs only while
     D_i > max(d, 8), so k_i >= 24 and the palette never collapses.)
 
-    Failed rounds escalate by doubling k up to 5 times, then fall back to
-    the greedy endgame; validity is never at stake, only colour count.
+    Each round makes one probe at k_i; if it fails, the greedy endgame
+    finishes at once.  Validity is never at stake, only colour count.
     """
     return _round_colouring(hg, d, seed, budget, halving=True, palette_step=_formula_palette)
 
@@ -812,13 +801,12 @@ def graph_maxcut_colouring(hg: Hypergraph, d: int, seed: int = 0) -> Colouring:
     Raises:
         ValueError: if the hypergraph is not 2-uniform.
     """
-    from .partition import max_cut_search  # at call time, so wrappers of it apply
-
     if hg.u != 2:
         raise ValueError(f"needs a 2-uniform hypergraph, got uniformity {hg.u}")
     _check_defect(d)
     num_parts = hg.max_degree // (d + 1) + 1
-    return Colouring(max_cut_search(hg, num_parts, seed).partition.parts, num_parts)
+    # looked up on the module at call time, so wrappers of max_cut_search apply
+    return Colouring(partition.max_cut_search(hg, num_parts, seed).partition.parts, num_parts)
 
 
 # Vertices per block of greedy_proper: one numpy pass per block marks what the

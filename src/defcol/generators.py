@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _row_codes
 
 __all__ = [
     "complete",
@@ -30,12 +30,17 @@ __all__ = [
 ]
 
 
-def complete(n: int, u: int) -> Hypergraph:
-    """The complete u-uniform hypergraph on n vertices: every u-set is an edge."""
+def _check_shape(n: int, u: int) -> None:
+    """Refuse a uniformity below 2, or fewer vertices than an edge holds."""
     if u < 2:
         raise ValueError(f"uniformity must be >= 2, got {u}")
     if n < u:
         raise ValueError(f"need n >= u, got n={n}, u={u}")
+
+
+def complete(n: int, u: int) -> Hypergraph:
+    """The complete u-uniform hypergraph on n vertices: every u-set is an edge."""
+    _check_shape(n, u)
     return Hypergraph(n, u, combinations(range(n), u))
 
 
@@ -161,10 +166,7 @@ def _rejection_sample(
     Once fewer than ``u`` vertices have room, every later candidate would be
     rejected, so the draws stop there.
     """
-    if u < 2:
-        raise ValueError(f"uniformity must be >= 2, got {u}")
-    if n < u:
-        raise ValueError(f"need n >= u, got n={n}, u={u}")
+    _check_shape(n, u)
     if max_degree < 0 or target_m < 0:
         raise ValueError("max_degree and target_m must be non-negative")
 
@@ -244,10 +246,7 @@ def _keys(rows: np.ndarray, n: int) -> np.ndarray:
     The key is the row's base-n code while n^width < 2^63, and its bytes past that.
     """
     if n ** rows.shape[1] < 2**63:
-        codes = np.zeros(len(rows), dtype=np.int64)
-        for column in rows.T:
-            codes = codes * n + column
-        return codes
+        return _row_codes(rows, n)
     return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 

@@ -81,6 +81,14 @@ def _incidence(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(flat, kind="stable") // edges.shape[1], np.bincount(flat, minlength=n)
 
 
+def _row_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row's base-n code as int64: exact while n^width < 2^63, wrapping past that."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        codes = codes * n + column
+    return codes
+
+
 def _runs(items: list, counts: np.ndarray) -> Iterator[list]:
     """``items`` cut into consecutive runs of the given lengths, made one at a time."""
     ends = np.cumsum(counts).tolist()
@@ -131,11 +139,9 @@ class Hypergraph:
             raise TypeError("edge vertices must be integers")  # the check passed non-integer labels
         arr = rows.astype(np.int64, copy=False)
         if len(arr) > 1:
-            # base-n row codes, exact while n^u < 2^63 and a wrapping hash past that:
-            # equal codes send the edges to the exact check, which names a true duplicate
-            codes = np.zeros(len(arr), dtype=np.int64)
-            for column in arr.T:
-                codes = codes * n + column
+            # once n^u reaches 2^63 the codes wrap: equal codes send the edges to
+            # the exact check, which names a true duplicate
+            codes = _row_codes(arr, n)
             codes.sort()
             if (codes[1:] == codes[:-1]).any():
                 _first_fault(arr.tolist(), n, u)

@@ -1,6 +1,7 @@
 """Verification, exact oracle, lower-bound certificates, grid witnesses, probes."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from defcol import (
     index_to_coords,
     probe_bad_vertex,
     probe_mono_edge,
+    random_bounded_degree,
     verify,
 )
 from defcol import analysis
@@ -319,6 +321,28 @@ class TestProbes:
             probe_mono_edge(TRIANGLE, 2, 100, seed=-3)
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             probe_bad_vertex(TRIANGLE, 2, 0, 0, 100, seed=-3)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_chunked_draws_keep_the_counts(self, monkeypatch, rows):
+        # counts of the probes that drew all trials at once; vertex 12 has degree 8
+        monkeypatch.setattr(analysis, "_PROBE_ROWS", rows)
+        hg = random_bounded_degree(50, 3, 8, 60, seed=4)
+        found = [(probe_bad_vertex(hg, k, 1, 12, 1000, seed=3).count, probe_mono_edge(hg, k, 1000, seed=3).count)
+                 for k in (2, 3, 7)]
+        assert found == [(609, 264), (229, 114), (12, 22)]
+
+    def test_memory_stays_flat_in_the_trial_count(self):
+        # drawing all 10^6 trials at once peaked at 92 MB (bad vertex) and 16 MB (mono edge)
+        hg = random_bounded_degree(50, 3, 8, 60, seed=4)
+        for probe, bound in ((lambda: probe_bad_vertex(hg, 2, 2, 12, 10**6), 16e6),
+                             (lambda: probe_mono_edge(hg, 3, 10**6), 8e6)):
+            tracemalloc.start()
+            try:
+                probe()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_probe_stats_arithmetic(self):
         small = ProbeStats(10_000, 1_000)

@@ -418,6 +418,22 @@ class TestNibbleColouring:
         check_nibble_residuals(hg, colouring, traces)
         assert all(t.probes >= 1 for t in traces)
 
+    def test_failed_probe_goes_straight_to_greedy(self, monkeypatch):
+        # a negative threshold makes every vertex terrible, so every probe fails
+        real, palettes = engine.nibble_round, []
+
+        def failing(hg, d, k, threshold=None, budget=None, seed=0):
+            palettes.append(k)
+            return real(hg, d, k, -1.0, budget, seed)
+
+        monkeypatch.setattr(engine, "nibble_round", failing)
+        hg = random_bounded_degree(60, 3, 40, 300, seed=1)
+        colouring, traces = nibble_colouring(hg, 1, budget=2)
+        # one probe, at the formula's palette, and no doubling before the endgame
+        assert palettes == [math.floor(49.0 * (hg.max_degree / 2) ** 0.5)]
+        assert [(t.kind, t.probes) for t in traces] == [("greedy", 1)]
+        assert verify(hg, colouring, 1).is_defective
+
     def test_validation(self):
         with pytest.raises(ValueError):
             nibble_colouring(Hypergraph(2, 1, [(0,)]), 0)
