@@ -22,6 +22,7 @@ repeated invocation reproduces its record byte for byte apart from the
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -406,7 +407,13 @@ def _cmd_bench(args: argparse.Namespace, _: None) -> _Result:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and shared by every later one.
+
+    Each ``parse_args`` call makes a fresh namespace from the defaults, so no
+    call's flags reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="defcol",
         description="Defective colouring toolkit for uniform hypergraphs.",

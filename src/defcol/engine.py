@@ -442,12 +442,19 @@ def classify(
 
 
 def _closed_neighbourhood(hg: Hypergraph, vertices: np.ndarray) -> np.ndarray:
-    """The given vertices and all their neighbours, sorted and distinct, in one CSR gather."""
+    """The given vertices and all their neighbours, sorted and distinct.
+
+    One CSR gather marks the neighbours in an n-long vertex mask, and the
+    mask's set positions are the answer, so no sort runs.
+    """
     starts, neighbours = hg.neighbour_sets()
     first, counts = starts[vertices], starts[vertices + 1] - starts[vertices]
     # neighbours[first[j] + t] for t < counts[j], for every j at once
     at = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    return np.unique(np.concatenate([vertices, neighbours[at]]))
+    mask = np.zeros(hg.n, dtype=bool)
+    mask[vertices] = True
+    mask[neighbours[at]] = True
+    return np.flatnonzero(mask)
 
 
 def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:

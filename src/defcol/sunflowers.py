@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .hypergraph import Hypergraph, VertexSet, _incidence, _runs, as_vertex_set
 
@@ -55,6 +55,8 @@ class Sunflower:
 
     def edges(self) -> tuple[VertexSet, ...]:
         """The edges this sunflower stands for: core union each petal."""
+        if not self.core:
+            return self.petals
         return tuple(tuple(sorted(self.core + petal)) for petal in self.petals)
 
 
@@ -113,11 +115,11 @@ class _AliveRows:
     :func:`decompose` keeps one over its input and drops the rows of each
     sunflower it extracts.  :func:`find_sunflower` reads it in place of a
     ``Hypergraph``: ``m``, :meth:`degree` and :meth:`link` answer as the
-    ``Hypergraph`` of the alive rows would, and :meth:`alive_rows` is its
-    scan.  A row is alive while its skip entry is the row itself; a dropped
-    row's entry is a later row, so following skips (halving the path on the
-    way) finds the next alive row and no scan walks a run of dropped rows
-    twice.
+    ``Hypergraph`` of the alive rows would, and its scan walks ``rows``
+    along ``skip``.  A row is alive while its skip entry is the row itself;
+    a dropped row's entry is a later row, so following skips (halving the
+    path on the way) finds the next alive row and no scan walks a run of
+    dropped rows twice.
     """
 
     def __init__(self, hg: Hypergraph):
@@ -126,20 +128,7 @@ class _AliveRows:
         self.rows: list[VertexSet] = list(map(tuple, self._array.tolist()))
         self.m = len(self.rows)  # alive rows
         self._degrees = hg.degrees()  # over the alive rows
-        self._skip = list(range(self.m + 1))  # the last entry stands for the end
-
-    def alive_rows(self) -> Iterator[VertexSet]:
-        i = self._next_alive(0)
-        while i < len(self.rows):
-            yield self.rows[i]
-            i = self._next_alive(i + 1)
-
-    def _next_alive(self, i: int) -> int:
-        skip = self._skip
-        while skip[i] != i:
-            skip[i] = skip[skip[i]]
-            i = skip[i]
-        return i
+        self.skip = list(range(self.m + 1))  # the last entry stands for the end
 
     def degree(self, vertices: Iterable[int]) -> int:
         """The number of alive rows through the one vertex given."""
@@ -149,7 +138,7 @@ class _AliveRows:
     def drop(self, indices: Iterable[int]) -> None:
         """Drop alive rows by index and lower their vertices' degrees."""
         for i in indices:
-            self._skip[i] = i + 1
+            self.skip[i] = i + 1
             self.m -= 1
             for w in self.rows[i]:
                 self._degrees[w] -= 1
@@ -162,7 +151,7 @@ class _AliveRows:
 
     def link(self, v: int) -> tuple[Hypergraph, list[int]]:
         """``Hypergraph.link(v)`` of the alive rows, cut from only the alive rows through ``v``."""
-        through = [i for i in self._incidence[v] if self._skip[i] == i]
+        through = [i for i in self._incidence[v] if self.skip[i] == i]
         return Hypergraph._trusted(self.n, self.u, self._array[through]).link(v)
 
 
@@ -194,13 +183,29 @@ def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:
 
     matched_edges: list[VertexSet] = []
     matched_vertices: set[int] = set()
-    rows = hg.alive_rows() if isinstance(hg, _AliveRows) else (tuple(r.tolist()) for r in hg.edge_array())
-    for e in rows:  # the scan usually stops after a few edges
-        if matched_vertices.isdisjoint(e):
-            matched_edges.append(e)
-            matched_vertices.update(e)
-            if len(matched_edges) == a:
-                return Sunflower(core=(), petals=tuple(matched_edges))
+    # the scan usually stops after a few edges
+    if isinstance(hg, _AliveRows):
+        # the walk is inline, so a row costs no generator step or call
+        rows, skip, i = hg.rows, hg.skip, 0
+        while len(matched_edges) < a:
+            while skip[i] != i:  # to the next alive row, halving the path
+                skip[i] = skip[skip[i]]
+                i = skip[i]
+            if i == len(rows):
+                break
+            if matched_vertices.isdisjoint(rows[i]):
+                matched_edges.append(rows[i])
+                matched_vertices.update(rows[i])
+            i += 1
+    else:
+        for e in (tuple(r.tolist()) for r in hg.edge_array()):
+            if matched_vertices.isdisjoint(e):
+                matched_edges.append(e)
+                matched_vertices.update(e)
+                if len(matched_edges) == a:
+                    break
+    if len(matched_edges) == a:
+        return Sunflower(core=(), petals=tuple(matched_edges))
 
     busiest = min(matched_vertices, key=lambda v: (-hg.degree([v]), v))
     link, old_of_new = hg.link(busiest)
@@ -239,7 +244,7 @@ def decompose(hg: Hypergraph, a: int) -> SunflowerDecomposition:
         flowers.append(found)
     return SunflowerDecomposition(
         sunflowers=tuple(flowers),
-        leftover=tuple(alive.alive_rows()),
+        leftover=tuple(row for i, row in enumerate(alive.rows) if alive.skip[i] == i),
         petal_count=a,
         uniformity=hg.u,
     )

@@ -542,6 +542,9 @@ def test_blocked_greedy_matches_the_per_edge_loop(case):
 @example(case=(0, 3, []))
 @example(case=(9, 3, [[0, 1, 2], [2, 3, 4], [1, 5, 6]]))  # 7 and 8 are isolated
 @example(case=(4, 1, [[0], [2]]))
+# stars through vertex 0 and an isolated last vertex: both ends of the vertex mask
+@example(case=(6, 2, [[0, 1], [0, 2], [0, 3], [0, 4]]))
+@example(case=(8, 3, [[0, 1, 2], [0, 3, 4], [0, 5, 6]]))
 def test_neighbour_index_and_supports_match_the_edge_walk(case):
     n, u, edges = case
     hg = Hypergraph(n, u, edges)

@@ -1,5 +1,6 @@
 """Command line behaviour: artifacts, exit codes, JSON run records, a closed stdout, the README examples."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -405,6 +406,32 @@ class TestRecordsAndErrors:
         assert main([]) == 2
         assert main(["bogus"]) == 2
         assert main(["color", "--defect"]) == 2
+
+    def test_calls_share_one_parser_and_no_flags(self, h3, tmp_path, monkeypatch):
+        """The parser is built at most once per process; each call starts from its defaults."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "defcol":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        bare = ["color", h3, "--mode", "theorem", "--defect", "1"]
+        recs = [tmp_path / f"{name}.json" for name in ("a", "b", "c")]
+        assert main(bare + ["--seed", "7", "--budget", "5", "--json", str(recs[0])]) in (0, 1)
+        assert main(bare + ["--json", str(recs[1])]) == 0
+        # parsing fails after --seed and --budget are read: exit 2, no record
+        assert main(bare + ["--seed", "9", "--budget", "3", "--mode", "bogus", "--json", str(recs[2])]) == 2
+        assert not recs[2].exists()
+        assert main(bare + ["--json", str(recs[2])]) == 0
+        first, *after = (json.loads(rec.read_text()) for rec in recs)
+        assert (first["params"]["seed"], first["params"]["budget"]) == (7, 5)
+        for record in after:
+            assert (record["seed"], record["params"]["seed"], record["params"]["budget"]) == (0, 0, None)
+        assert after[0]["params"] == after[1]["params"] and after[0]["outcome"] == after[1]["outcome"]
+        assert len(built) <= 1
 
     def test_stdin_instance(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("3 1 2\n0 1\n"))
