@@ -66,7 +66,7 @@ def verify(hg: Hypergraph, colouring: Colouring, d: int) -> DefectReport:
         ValueError: if any vertex is uncoloured or d < 0.
     """
     _check_defect(d)
-    mono = mono_counts(hg.edge_array(), _total_labels(hg, colouring), hg.n)
+    mono = mono_counts(hg, _total_labels(hg, colouring))
     return DefectReport(
         defect=d,
         mono_degrees=tuple(mono.tolist()),
@@ -247,7 +247,7 @@ def grid_defect_witness(
     return GridWitness(
         vertex=vertex,
         coords=pick,
-        mono_degree=int(mono_counts(hg.edge_array(), colours, hg.n)[vertex]),
+        mono_degree=int(mono_counts(hg, colours)[vertex]),
         class_size=int(sizes[best]),
         survivor_size=survivors,
     )

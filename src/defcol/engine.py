@@ -34,7 +34,7 @@ picked by the number of rows B:
 * one colour vector: one ``bincount``;
 * 2-63 rows: transposed once to vertex-major (n, B), so an edge slot's
   colours are one gather of contiguous length-B rows, and counted per vertex
-  and row by one ``reduceat`` over a CSR vertex -> edge index, 2-4 times
+  and row by one ``reduceat`` over :meth:`Hypergraph.incidence`, 2-4 times
   faster per call than one ``bincount`` over row-offset ids;
 * 64 or more rows of integer labels: bit-sliced, 64 rows to a uint64 word.
   Each bit plane of the labels is packed into words, an edge is
@@ -43,9 +43,11 @@ picked by the number of rows B:
   padded with a zero sentinel edge.  It is slower than counting on a few
   rows and faster on many (see ``_WORD_ROWS``).
 
-All three give the same flags, and a resample loop builds each index at
-most once, by the first batch that reads it.  :func:`mono_counts`, which
-``analysis.verify`` reads, counts by the first two.
+All three give the same flags.  The hypergraph builds and caches its
+incidence on the first counted batch, so every probe on one round's
+hypergraph shares it; a classifier derives the padded form from it on its
+first bit-sliced batch.  :func:`mono_counts`, which ``analysis.verify``
+reads, counts by the first two.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import partition
-from .hypergraph import Hypergraph, _incidence
+from .hypergraph import Hypergraph
 
 __all__ = [
     "MODES",
@@ -228,20 +230,12 @@ def _vertex_major(colours: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(colours.T)
 
 
-def _csr_incidence(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edge of each vertex slot in CSR order, the vertices on some edge, where their runs start)."""
-    edge_of, degrees = _incidence(edges, n)
-    nonempty = np.flatnonzero(degrees)
-    return edge_of, nonempty, (np.cumsum(degrees) - degrees)[nonempty]
-
-
-def _padded_incidence(edges: np.ndarray, n: int) -> np.ndarray:
+def _padded_incidence(hg: Hypergraph) -> np.ndarray:
     """The (max degree, n) edge ids of each vertex, in increasing order, padded with the sentinel id m."""
-    edge_of, degrees = _incidence(edges, n)
-    vertex = np.repeat(np.arange(n), degrees)
-    rank = np.arange(len(edge_of)) - (np.cumsum(degrees) - degrees)[vertex]
-    padded = np.full((int(degrees.max(initial=0)), n), len(edges), dtype=np.int64)
-    padded[rank, vertex] = edge_of
+    starts, edge_of = hg.incidence()
+    vertex = np.repeat(np.arange(hg.n), np.diff(starts))
+    padded = np.full((hg.max_degree, hg.n), hg.m, dtype=np.int64)
+    padded[np.arange(len(edge_of)) - starts[vertex], vertex] = edge_of
     return padded
 
 
@@ -254,22 +248,21 @@ def _slots(edges: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
     return map(values.__getitem__ if values.ndim == 1 else partial(values.take, axis=0), edges.T)
 
 
-def _edge_counts(
-    edges: np.ndarray, mask: np.ndarray, n: int, csr: Callable[[], tuple[np.ndarray, ...]],
-) -> np.ndarray:
+def _edge_counts(hg: Hypergraph, mask: np.ndarray) -> np.ndarray:
     """Per vertex (and row), how many edges picked by ``mask`` contain it: (n,) from (m,), (n, B) from (m, B).
 
-    One row is counted by one ``bincount``; B rows by one ``reduceat`` over
-    the CSR incidence ``csr()`` (:func:`_csr_incidence`), where only vertices of
+    One row is counted by one ``bincount`` and needs no index; B rows by one
+    ``reduceat`` over :meth:`Hypergraph.incidence`, where only vertices of
     degree > 0 start a run (``reduceat`` reads an empty run as its next
     element) and the rest stay 0.
     """
     if mask.ndim == 1:
-        return np.bincount(np.concatenate([slot[mask] for slot in edges.T]), minlength=n)
-    edge_of, nonempty, starts = csr()
-    counts = np.zeros((n, mask.shape[1]), dtype=np.int64)
-    if len(starts):
-        counts[nonempty] = np.add.reduceat(mask.take(edge_of, axis=0), starts, axis=0)
+        return np.bincount(np.concatenate([slot[mask] for slot in hg.edge_array().T]), minlength=hg.n)
+    starts, edge_of = hg.incidence()
+    nonempty = np.flatnonzero(np.diff(starts))
+    counts = np.zeros((hg.n, mask.shape[1]), dtype=np.int64)
+    if len(nonempty):
+        counts[nonempty] = np.add.reduceat(mask.take(edge_of, axis=0), starts[nonempty], axis=0)
     return counts
 
 
@@ -287,16 +280,15 @@ def _mono_edges(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return mono
 
 
-def mono_counts(edges: np.ndarray, colours: np.ndarray, n: int) -> np.ndarray:
-    """Per-vertex number of monochromatic edges under total colour vectors.
+def mono_counts(hg: Hypergraph, colours: np.ndarray) -> np.ndarray:
+    """Per-vertex number of monochromatic edges of ``hg`` under total colour vectors.
 
-    ``edges`` is an (m, u) vertex array such as :meth:`Hypergraph.edge_array`
-    and ``colours`` holds one label per vertex, as one (n,) vector or as
-    (B, n) rows; the counts have the same shape.  Only label equality
-    matters.
+    ``colours`` holds one label per vertex, as one (n,) vector or as (B, n)
+    rows; the counts have the same shape.  Only label equality matters.
+    One vector is counted without an index; rows read ``hg.incidence()``.
     """
-    mono = _mono_edges(edges, _vertex_major(colours))
-    return _edge_counts(edges, mono, n, partial(_csr_incidence, edges, n)).T.reshape(colours.shape)
+    mono = _mono_edges(hg.edge_array(), _vertex_major(colours))
+    return _edge_counts(hg, mono).T.reshape(colours.shape)
 
 
 # -- the bit-sliced layout: 64 rows per machine word --------------------------------
@@ -373,23 +365,23 @@ def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
     return np.unpackbits(octets, axis=0, count=rows, bitorder="little").view(bool)
 
 
-def _classifier(
-    edges: np.ndarray, n: int, d: int, threshold: float | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``violated`` flags of an (n,) colour vector or of (B, n) rows, in the same shape.
+def _classifier(hg: Hypergraph, d: int, threshold: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``violated`` flags of ``hg`` under an (n,) colour vector or (B, n) rows, in the same shape.
 
     A vertex is bad when more than d of its edges are monochromatic, an edge
     all-bad when all its vertices are bad, and a vertex terrible when more
     than ``threshold`` of its edges are all-bad.  The callable flags the
     terrible vertices when given a threshold and the bad ones otherwise.
     B >= 64 rows of integer labels ask "more than x of a vertex's edges"
-    bit-sliced, the rest by counting; each index is built at most once, by
-    the first call that reads it.
+    bit-sliced, the rest by counting.  One row reads no index; 2-63 rows
+    read ``hg.incidence()``, which the hypergraph caches; the padded
+    incidence, whose size is bounded only by the batch cap, is built from it
+    at most once per classifier, by its first bit-sliced call.
     """
-    csr, padded = cache(partial(_csr_incidence, edges, n)), cache(partial(_padded_incidence, edges, n))
+    edges, padded = hg.edge_array(), cache(partial(_padded_incidence, hg))
 
     def counted(mask: np.ndarray, x: float) -> np.ndarray:
-        return _edge_counts(edges, mask, n, csr) > x
+        return _edge_counts(hg, mask) > x
 
     def sliced(words: np.ndarray, x: float) -> np.ndarray:
         degree = len(padded())
@@ -433,34 +425,39 @@ def classify(
     Returns:
         (bad vertices, terrible vertices)
     """
-    colours, edges = _total_labels(hg, colouring), hg.edge_array()
+    colours = _total_labels(hg, colouring)
     if bad_edge_threshold is None:
         bad_edge_threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
-    bad = _classifier(edges, hg.n, d)(colours)
-    terrible = _classifier(edges, hg.n, d, bad_edge_threshold)(colours)
+    bad = _classifier(hg, d)(colours)
+    terrible = _classifier(hg, d, bad_edge_threshold)(colours)
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
 
 
-def _closed_neighbourhood(hg: Hypergraph, vertices: np.ndarray) -> np.ndarray:
-    """The given vertices and all their neighbours, sorted and distinct.
-
-    One CSR gather marks the neighbours in an n-long vertex mask, and the
-    mask's set positions are the answer, so no sort runs.
-    """
+def _closed_neighbourhood(hg: Hypergraph, v: int) -> np.ndarray:
+    """v and its neighbours, sorted: v's row of the neighbour index with v inserted in place."""
     starts, neighbours = hg.neighbour_sets()
-    first, counts = starts[vertices], starts[vertices + 1] - starts[vertices]
-    # neighbours[first[j] + t] for t < counts[j], for every j at once
-    at = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    mask = np.zeros(hg.n, dtype=bool)
-    mask[vertices] = True
-    mask[neighbours[at]] = True
-    return np.flatnonzero(mask)
+    row = neighbours[starts[v] : starts[v + 1]]
+    at = np.searchsorted(row, v)
+    return np.concatenate([row[:at], [v], row[at:]])
 
 
 def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
-    """All vertices within hypergraph distance 2 of v, v included."""
+    """All vertices within hypergraph distance 2 of v, v included.
+
+    The first hop is v's row of the neighbour index.  The second gathers the
+    rows of all those vertices into an n-long vertex mask, whose set
+    positions are the answer, so no sort runs.
+    """
     hg._check_vertex(v)
-    return tuple(_closed_neighbourhood(hg, _closed_neighbourhood(hg, np.array([v]))).tolist())
+    first = _closed_neighbourhood(hg, v)
+    starts, neighbours = hg.neighbour_sets()
+    begin, counts = starts[first], starts[first + 1] - starts[first]
+    # neighbours[begin[j] + t] for t < counts[j], for every j at once
+    at = np.repeat(begin - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    mask = np.zeros(hg.n, dtype=bool)
+    mask[first] = True
+    mask[neighbours[at]] = True
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 # -- the resample loop -----------------------------------------------------------
@@ -600,15 +597,14 @@ def nibble_round(
     if threshold is None:
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
 
-    edges = hg.edge_array()
     colours, resamples, succeeded = _resample(
-        hg, k, seed, budget, _classifier(edges, hg.n, d, threshold),
+        hg, k, seed, budget, _classifier(hg, d, threshold),
         lambda v: closed_second_neighbourhood(hg, v),
     )
     trace = RoundTrace(0, "nibble", k, 0, float(hg.max_degree), resamples, 0, succeeded)
     if not succeeded:
         return Colouring(tuple(colours.tolist()), k), None, trace
-    bad = _classifier(edges, hg.n, d)(colours)
+    bad = _classifier(hg, d)(colours)
     residual = tuple(np.flatnonzero(bad).tolist())
     assignment = tuple(None if b else c for b, c in zip(bad.tolist(), colours.tolist()))
     return Colouring(assignment, k), residual, replace(trace, residual_size=len(residual))
@@ -642,8 +638,7 @@ def linear_lll_colouring(
 
     k = max(1, math.floor(100.0 * (hg.max_degree / (d + 1)) ** (1.0 / (hg.u - 1))))
     colours, resamples, succeeded = _resample(
-        hg, k, seed, budget, _classifier(hg.edge_array(), hg.n, d),
-        lambda v: _closed_neighbourhood(hg, np.array([v])),
+        hg, k, seed, budget, _classifier(hg, d), partial(_closed_neighbourhood, hg),
     )
     if not succeeded:
         raise BudgetExhaustedError(

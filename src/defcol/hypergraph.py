@@ -2,8 +2,9 @@
 
 Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
 distinct vertices.  The edges are kept as one read-only int64 array with
-each row sorted, and every query is answered from it; only the neighbour
-index is built from it, on first use, and cached.
+each row sorted, and every query is answered from it; only the two
+indices, vertex -> neighbours and vertex -> edges, are built from it, on
+first use, and cached.
 The plain-text instance format lives here too; :func:`parse_instance` reads
 the text :func:`format_instance` writes in one numpy pass.
 """
@@ -70,17 +71,6 @@ def _first_fault(edges: Iterable[Iterable[int]], n: int, u: int) -> None:
         seen.add(e)
 
 
-def _incidence(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each vertex's edges as CSR: (row ids grouped by vertex, per-vertex counts).
-
-    The ids come from one stable argsort of the flattened (m, u) array, so
-    each vertex's run lists its rows in increasing order and the runs follow
-    vertex order.
-    """
-    flat = edges.ravel()
-    return np.argsort(flat, kind="stable") // edges.shape[1], np.bincount(flat, minlength=n)
-
-
 def _row_codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Each row's base-n code as int64: exact while n^width < 2^63, wrapping past that."""
     codes = np.zeros(len(rows), dtype=np.int64)
@@ -102,8 +92,9 @@ class Hypergraph:
     duplicate edges are rejected; the first offending edge, in input
     order, is named in the ``ValueError``.  The edges are stored once, as
     the (m, u) array :meth:`edge_array` returns, with degrees counted at
-    construction.  :meth:`neighbour_sets`, a CSR pair ``(starts, neighbours)``
-    of int64 arrays, is built on first use, so array code never pays for it.
+    construction.  :meth:`neighbour_sets` and :meth:`incidence`, CSR pairs
+    of int64 arrays, are built on first use, so code that does not read them
+    never pays for them.
 
     ``u >= 2`` is the usual case; ``u == 1`` is permitted so that links of
     2-uniform hypergraphs (whose edges shrink to singletons) remain
@@ -166,6 +157,7 @@ class Hypergraph:
         self._degrees = np.bincount(arr.ravel(), minlength=n)
         self._max_degree = int(self._degrees.max()) if n else 0
         self._neighbour_sets: tuple[np.ndarray, np.ndarray] | None = None
+        self._incidence: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -210,6 +202,19 @@ class Hypergraph:
             starts.flags.writeable = neighbours.flags.writeable = False
             self._neighbour_sets = starts, neighbours
         return self._neighbour_sets
+
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR pair (starts, edges): v's edge ids are ``edges[starts[v]:starts[v+1]]``, increasing.
+
+        One stable argsort of the flattened edge array groups the slots by
+        vertex with each vertex's rows in order; the runs are the degrees.
+        """
+        if self._incidence is None:
+            starts = np.concatenate([[0], np.cumsum(self._degrees)])
+            edges = np.argsort(self._edges.ravel(), kind="stable") // self.u
+            starts.flags.writeable = edges.flags.writeable = False
+            self._incidence = starts, edges
+        return self._incidence
 
     def _pair_codes(self) -> np.ndarray:
         """Sorted codes a*n + b, one per edge and ordered pair (a, b) of its distinct members.

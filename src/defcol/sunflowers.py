@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .hypergraph import Hypergraph, VertexSet, _incidence, _runs, as_vertex_set
+from .hypergraph import Hypergraph, VertexSet, as_vertex_set
 
 __all__ = [
     "Sunflower",
@@ -115,17 +114,17 @@ class _AliveRows:
     :func:`decompose` keeps one over its input and drops the rows of each
     sunflower it extracts.  :func:`find_sunflower` reads it in place of a
     ``Hypergraph``: ``m``, :meth:`degree` and :meth:`link` answer as the
-    ``Hypergraph`` of the alive rows would, and its scan walks ``rows``
-    along ``skip``.  A row is alive while its skip entry is the row itself;
-    a dropped row's entry is a later row, so following skips (halving the
-    path on the way) finds the next alive row and no scan walks a run of
-    dropped rows twice.
+    ``Hypergraph`` of the alive rows would (a link reads the rows through
+    its vertex from the input's :meth:`Hypergraph.incidence`), and its scan
+    walks ``rows`` along ``skip``.  A row is alive while its skip entry is
+    the row itself; a dropped row's entry is a later row, so following
+    skips (halving the path on the way) finds the next alive row and no
+    scan walks a run of dropped rows twice.
     """
 
     def __init__(self, hg: Hypergraph):
-        self.n, self.u = hg.n, hg.u
-        self._array = hg.edge_array()
-        self.rows: list[VertexSet] = list(map(tuple, self._array.tolist()))
+        self._hg = hg
+        self.rows: list[VertexSet] = list(map(tuple, hg.edge_array().tolist()))
         self.m = len(self.rows)  # alive rows
         self._degrees = hg.degrees()  # over the alive rows
         self.skip = list(range(self.m + 1))  # the last entry stands for the end
@@ -143,16 +142,12 @@ class _AliveRows:
             for w in self.rows[i]:
                 self._degrees[w] -= 1
 
-    @cached_property
-    def _incidence(self) -> list[list[int]]:
-        """Each vertex's rows in index order, from one stable argsort; made on the first link."""
-        ids, degrees = _incidence(self._array, self.n)
-        return list(_runs(ids.tolist(), degrees))
-
     def link(self, v: int) -> tuple[Hypergraph, list[int]]:
         """``Hypergraph.link(v)`` of the alive rows, cut from only the alive rows through ``v``."""
-        through = [i for i in self._incidence[v] if self.skip[i] == i]
-        return Hypergraph._trusted(self.n, self.u, self._array[through]).link(v)
+        hg = self._hg
+        starts, ids = hg.incidence()
+        through = [i for i in ids[starts[v] : starts[v + 1]].tolist() if self.skip[i] == i]
+        return Hypergraph._trusted(hg.n, hg.u, hg.edge_array()[through]).link(v)
 
 
 def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:

@@ -208,7 +208,7 @@ def ref_grid_defect_witness(
     return GridWitness(
         vertex=vertex,
         coords=pick,
-        mono_degree=int(mono_counts(hg.edge_array(), np.asarray(colouring.colours), hg.n)[vertex]),
+        mono_degree=int(mono_counts(hg, np.asarray(colouring.colours))[vertex]),
         class_size=class_size,
         survivor_size=len(survivors),
     )

@@ -30,6 +30,6 @@ def test_hypergraph_keeps_no_tuple_views():
     assert not hasattr(Hypergraph, "incident")
     assert not hasattr(Hypergraph, "co_members")
     hg = Hypergraph(4, 3, [(2, 0, 1), (1, 2, 3)])
-    hg.is_linear(), hg.neighbour_sets()
-    # the array, its degrees, and the one neighbour index the resample supports read
-    assert sorted(vars(hg)) == ["_degrees", "_edges", "_max_degree", "_neighbour_sets", "n", "u"]
+    hg.is_linear(), hg.neighbour_sets(), hg.incidence()
+    # the array, its degrees, the neighbour index the resample supports read and the incidence the counts read
+    assert sorted(vars(hg)) == ["_degrees", "_edges", "_incidence", "_max_degree", "_neighbour_sets", "n", "u"]

@@ -540,6 +540,27 @@ def test_blocked_greedy_matches_the_per_edge_loop(case):
 @settings(max_examples=300, deadline=None)
 @given(edge_lists(valid=True))
 @example(case=(0, 3, []))
+@example(case=(5, 3, []))  # m = 0 on some vertices
+@example(case=(9, 3, [[0, 1, 2], [2, 3, 4], [1, 5, 6]]))  # 7 and 8 are isolated
+@example(case=(4, 1, [[2], [0]]))
+def test_incidence_matches_the_edge_walk(case):
+    """Each vertex's run of ``incidence()`` lists the rows through it in increasing order."""
+    n, u, edges = case
+    hg = Hypergraph(n, u, edges)
+    starts, ids = hg.incidence()
+    assert starts.tolist()[:1] == [0] and len(starts) == n + 1
+    assert tuple(tuple(ids[starts[v] : starts[v + 1]].tolist()) for v in range(n)) == tuple(
+        incident(hg, v) for v in range(n)
+    )
+    assert len(ids) == starts[-1] == hg.m * u
+    assert not (starts.flags.writeable or ids.flags.writeable)
+    again = hg.incidence()
+    assert again[0] is starts and again[1] is ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(valid=True))
+@example(case=(0, 3, []))
 @example(case=(9, 3, [[0, 1, 2], [2, 3, 4], [1, 5, 6]]))  # 7 and 8 are isolated
 @example(case=(4, 1, [[0], [2]]))
 # stars through vertex 0 and an isolated last vertex: both ends of the vertex mask
@@ -554,7 +575,7 @@ def test_neighbour_index_and_supports_match_the_edge_walk(case):
     for v in range(n):
         first = {w for e in canon if v in e for w in e} | {v}
         second = {w for e in canon if first.intersection(e) for w in e} | first
-        assert _closed_neighbourhood(hg, np.array([v])).tolist() == sorted(first)
+        assert _closed_neighbourhood(hg, v).tolist() == sorted(first)
         assert closed_second_neighbourhood(hg, v) == tuple(sorted(second))
 
 
@@ -754,13 +775,12 @@ def resample_case(case, form, d, threshold):
     """(hypergraph, violated, support) of ``nibble_round`` ("terrible") or ``naive-lll`` ("mono-degree")."""
     n, u, edges = case
     hg = Hypergraph(n, u, edges)
-    array = hg.edge_array()
     if form == "terrible":
         if threshold is None:
             threshold = hg.max_degree * 2.0 ** -(u - 1)
-        return hg, _classifier(array, n, d, threshold), partial(closed_second_neighbourhood, hg)
+        return hg, _classifier(hg, d, threshold), partial(closed_second_neighbourhood, hg)
     nbr = ref_neighbour_sets(n, edge_tuples(hg))
-    return hg, _classifier(array, n, d), lambda v: sorted(nbr[v] | {v})
+    return hg, _classifier(hg, d), lambda v: sorted(nbr[v] | {v})
 
 
 K5 = (5, 2, [list(e) for e in combinations(range(5), 2)])
@@ -797,17 +817,16 @@ def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget,
     """
     n, u, edges = case
     hg = Hypergraph(n, u, edges)
-    array = hg.edge_array()
     if form == "terrible":
         if threshold is None:
             threshold = hg.max_degree * 2.0 ** -(u - 1)
 
-        violated = _classifier(array, n, d, threshold)
+        violated = _classifier(hg, d, threshold)
 
         def support(v):
             return closed_second_neighbourhood(hg, v)
     else:
-        nbr, violated = ref_neighbour_sets(n, edge_tuples(hg)), _classifier(array, n, d)
+        nbr, violated = ref_neighbour_sets(n, edge_tuples(hg)), _classifier(hg, d)
 
         def support(v):
             return sorted(nbr[v] | {v})

@@ -179,9 +179,8 @@ def assert_rows_match(hg, rows, k, d, threshold):
     never bit-slice), in both ``violated`` forms: terrible flags and mono
     degree over d (the bad flags).
     """
-    edges, n = hg.edge_array(), hg.n
-    terrible_of, bad_of = _classifier(edges, n, d, threshold), _classifier(edges, n, d)
-    counts, terrible, bad = mono_counts(edges, rows, n), terrible_of(rows), bad_of(rows)
+    terrible_of, bad_of = _classifier(hg, d, threshold), _classifier(hg, d)
+    counts, terrible, bad = mono_counts(hg, rows), terrible_of(rows), bad_of(rows)
     assert counts.shape == terrible.shape == bad.shape == rows.shape
     assert engine._is_wide(rows) == (len(rows) >= 64 and rows.dtype == np.int64)
     counted = rows.astype(object)
@@ -189,7 +188,7 @@ def assert_rows_match(hg, rows, k, d, threshold):
     assert bad.tolist() == (counts > d).tolist()
     for b, row in enumerate(rows):
         mono, ref_bad, ref_terrible = reference_classify(hg, Colouring(tuple(row.tolist()), k), d, threshold)
-        assert counts[b].tolist() == mono_counts(edges, row, n).tolist() == mono
+        assert counts[b].tolist() == mono_counts(hg, row).tolist() == mono
         assert bad[b].tolist() == bad_of(row).tolist() == ref_bad
         assert terrible[b].tolist() == terrible_of(row).tolist() == ref_terrible
 
@@ -202,10 +201,10 @@ def labelled_rows(batch, n, k, seed):
 
 
 def test_mono_counts_kernel():
-    assert mono_counts(TRIANGLE.edge_array(), np.array([0, 0, 1]), 3).tolist() == [1, 1, 0]
-    assert mono_counts(TRIANGLE.edge_array(), np.zeros(3, dtype=np.int64), 3).tolist() == [2, 2, 2]
+    assert mono_counts(TRIANGLE, np.array([0, 0, 1])).tolist() == [1, 1, 0]
+    assert mono_counts(TRIANGLE, np.zeros(3, dtype=np.int64)).tolist() == [2, 2, 2]
     empty = Hypergraph(4, 3, [])
-    assert mono_counts(empty.edge_array(), np.zeros(4, dtype=np.int64), 4).tolist() == [0] * 4
+    assert mono_counts(empty, np.zeros(4, dtype=np.int64)).tolist() == [0] * 4
     # each row of a (B, n) call equals the (n,) call on it and the pure-Python counts
     cases = [
         (TRIANGLE, 2),
@@ -259,32 +258,38 @@ def test_bit_sliced_flags_match_the_counting_kernel(hg):
 
     The same rows as object labels take the counting layout.
     """
-    edges, n = hg.edge_array(), hg.n
     default = hg.max_degree * 2.0 ** -(hg.u - 1)
     thresholds = (0.0, -1.0, -0.5, default, hg.max_degree + 0.5, math.nan)
     for batch, k in product((64, 65, 71, 100, 127, 128, 200, 300), (2, 3, 5, 2**20)):
-        rows = labelled_rows(batch, n, k, batch * k)
+        rows = labelled_rows(batch, hg.n, k, batch * k)
         counted = rows.astype(object)
         assert engine._is_wide(rows) and not engine._is_wide(counted)
-        counts = mono_counts(edges, rows, n)
+        counts = mono_counts(hg, rows)
         for d in range(4):
-            bad_of = _classifier(edges, n, d)
+            bad_of = _classifier(hg, d)
             assert bad_of(rows).tolist() == bad_of(counted).tolist() == (counts > d).tolist()
             for threshold in thresholds:
-                terrible_of = _classifier(edges, n, d, threshold)
+                terrible_of = _classifier(hg, d, threshold)
                 assert terrible_of(rows).tolist() == terrible_of(counted).tolist()
         # labels are compared as 64-bit patterns: shifting them (below 0 too) changes no flag
         for threshold in (None, default):
-            violated = _classifier(edges, n, 1, threshold)
+            violated = _classifier(hg, 1, threshold)
             assert violated(rows - 2**40).tolist() == violated(rows).tolist()
 
 
 def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkeypatch):
-    """The CSR index on the first batch of 2-63 rows, the padded incidence on the first of 64 or more."""
+    """The incidence on the first batch of 2-63 rows, kept by the hypergraph for every later probe;
+    the padded incidence on each resample loop's first batch of 64 or more."""
     builds, padded = [], []
-    real_index, real_padded = engine._csr_incidence, engine._padded_incidence
-    monkeypatch.setattr(engine, "_csr_incidence", lambda edges, n: builds.append(n) or real_index(edges, n))
-    monkeypatch.setattr(engine, "_padded_incidence", lambda e, n: padded.append(n) or real_padded(e, n))
+    real_index, real_padded = Hypergraph.incidence, engine._padded_incidence
+
+    def counted_index(hg):
+        if hg._incidence is None:
+            builds.append(hg.n)
+        return real_index(hg)
+
+    monkeypatch.setattr(Hypergraph, "incidence", counted_index)
+    monkeypatch.setattr(engine, "_padded_incidence", lambda hg: padded.append(hg.n) or real_padded(hg))
     hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
     assert nibble_round(hg, 1, 40, budget=300)[2].resamples == 0
     assert linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1)[1].resamples == 0
@@ -293,7 +298,10 @@ def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkey
     assert (builds, padded) == ([35], [])
     for _ in range(2):
         assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # then 64, 128 and 45 rows
-    assert (builds, padded) == ([35, 35, 35], [35, 35])
+    assert (builds, padded) == ([35], [35, 35])
+    other = random_bounded_degree(35, 3, 18, 199, seed=7001)
+    assert nibble_round(other, 1, 2, budget=63)[2].resamples == 63
+    assert (builds, padded) == ([35, 35], [35, 35])
 
 
 def test_padded_incidence_is_built_only_where_its_size_is_bounded(monkeypatch):
@@ -305,7 +313,7 @@ def test_padded_incidence_is_built_only_where_its_size_is_bounded(monkeypatch):
     """
     padded = []
     real_padded = engine._padded_incidence
-    monkeypatch.setattr(engine, "_padded_incidence", lambda e, n: padded.append(n) or real_padded(e, n))
+    monkeypatch.setattr(engine, "_padded_incidence", lambda hg: padded.append(hg.n) or real_padded(hg))
     half = engine._BATCH_EDGE_ROWS // engine._WORD_ROWS // 2
     for others, builds in ((half - 1, [half + 1]), (half + 1, [])):
         padded.clear()

@@ -83,7 +83,6 @@ import hashlib
 import json
 import random
 
-import numpy as np
 import pytest
 from helpers import edge_tuples, ref_neighbour_sets
 
@@ -521,7 +520,7 @@ def test_resample_supports_match_frozen_digests(case_id):
     nbr = ref_neighbour_sets(hg.n, edge_tuples(hg))
     first = tuple(tuple(sorted(nbr[v] | {v})) for v in range(hg.n))
     assert (sha256(repr(second)), sha256(repr(first))) == SUPPORT_DIGESTS[case_id]
-    gathered = tuple(tuple(engine._closed_neighbourhood(hg, np.array([v])).tolist()) for v in range(hg.n))
+    gathered = tuple(tuple(engine._closed_neighbourhood(hg, v).tolist()) for v in range(hg.n))
     assert sha256(repr(gathered)) == SUPPORT_DIGESTS[case_id][1]
 
 
