@@ -2,11 +2,12 @@
 
 Vertices are integers ``0 .. n-1``; an edge is a set of exactly ``u``
 distinct vertices.  The edges are kept as one read-only int64 array with
-each row sorted, and every query is answered from it; only the two
-indices, vertex -> neighbours and vertex -> edges, are built from it, on
-first use, and cached.
+each row sorted (rows given already increasing are copied, not sorted),
+and every query is answered from it; only the two indices, vertex ->
+neighbours and vertex -> edges, are built from it, on first use, and cached.
 The plain-text instance format lives here too; :func:`parse_instance` reads
-the text :func:`format_instance` writes in one numpy pass.
+exactly the bytes :func:`format_instance` writes in one numpy pass, and any
+other text line by line.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def _row_codes(rows: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
+def _increasing(rows: np.ndarray) -> bool:
+    """True when every row is strictly increasing (so its entries are distinct)."""
+    # one column pair at a time: comparing the (m, u-1) slices in one go is several
+    # times slower; with no rows the u columns are never looped over
+    return not len(rows) or all((rows[:, i] < rows[:, i + 1]).all() for i in range(rows.shape[1] - 1))
+
+
 def _runs(items: list, counts: np.ndarray) -> Iterator[list]:
     """``items`` cut into consecutive runs of the given lengths, made one at a time."""
     ends = np.cumsum(counts).tolist()
@@ -109,22 +117,27 @@ class Hypergraph:
         if max(n, u) >= _SIZE_LIMIT:
             raise ValueError(f"vertex count and uniformity must be below 2**60, got n={n}, u={u}")
 
+        rows: np.ndarray | None = None  # stays None for rows numpy cannot hold as int64 integers
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == u \
                 and edges.dtype.kind in "iu":
             given: list[tuple] | np.ndarray = edges
-            rows: np.ndarray | None = np.sort(edges, axis=1)
+            rows = edges
         else:
             given = list(map(tuple, edges.tolist() if isinstance(edges, np.ndarray) else edges))
-            rows = None  # stays None for rows numpy cannot hold as int64 integers
             if not given:
                 rows = np.empty((0, u), dtype=np.int64)
             elif set(map(len, given)) == {u}:
                 found = np.array(given)
                 if found.ndim == 2 and found.dtype.kind in "iu":
-                    rows = np.sort(found, axis=1)
+                    rows = found
+        # rows that already increase, as the writer and every generator leave them,
+        # hold distinct vertices; they are copied (never aliased), not sorted
+        distinct = rows is not None and _increasing(rows)
+        if rows is not None:
+            rows = np.array(rows) if distinct else np.sort(rows, axis=1)
         # detect faults in numpy; the per-edge check then names the first one
         if rows is None or (len(rows) and not (
-            rows[:, 0].min() >= 0 and rows[:, -1].max() < n and (rows[:, 1:] != rows[:, :-1]).all()
+            rows[:, 0].min() >= 0 and rows[:, -1].max() < n and (distinct or _increasing(rows))
         )):
             _first_fault(given if isinstance(given, list) else given.tolist(), n, u)
             raise TypeError("edge vertices must be integers")  # the check passed non-integer labels
@@ -194,11 +207,18 @@ class Hypergraph:
 
     # perfbench/spans.py traces this method by name
     def neighbour_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only CSR pair (starts, neighbours): v's are ``neighbours[starts[v]:starts[v+1]]``, sorted."""
+        """Read-only CSR pair (starts, neighbours): v's are ``neighbours[starts[v]:starts[v+1]]``, sorted.
+
+        Both are int64, whatever width :meth:`_pair_codes` used; the first code
+        of each run of equal ones is one (vertex, neighbour) pair.
+        """
         if self._neighbour_sets is None:
             codes = self._pair_codes()
-            owner, neighbours = np.divmod(codes[np.diff(codes, prepend=-1) != 0], self.n)
+            first = np.ones(len(codes), dtype=bool)
+            np.not_equal(codes[1:], codes[:-1], out=first[1:])
+            owner, neighbours = np.divmod(codes[first], self.n)  # divided before widening: faster on uint32
             starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.n))])
+            neighbours = neighbours.astype(np.int64)
             starts.flags.writeable = neighbours.flags.writeable = False
             self._neighbour_sets = starts, neighbours
         return self._neighbour_sets
@@ -219,12 +239,15 @@ class Hypergraph:
     def _pair_codes(self) -> np.ndarray:
         """Sorted codes a*n + b, one per edge and ordered pair (a, b) of its distinct members.
 
-        n*n fits in int64 for any n whose degree array fits in memory (with
-        no edges there are no pairs, however large u is).
+        The codes are uint32 while n*n <= 2**32, which sorts in the same order
+        with half the bytes, and int64 past that: n*n fits in int64 for any n
+        whose degree array fits in memory (with no edges there are no pairs,
+        however large u is).
         """
-        e, n = self._edges, self.n
+        n = self.n
+        e = self._edges.astype(np.uint32) if n * n <= 2**32 else self._edges
         pairs = permutations(range(self.u), 2) if self.m else ()
-        codes = np.concatenate([np.empty(0, np.int64)] + [e[:, i] * n + e[:, j] for i, j in pairs])
+        codes = np.concatenate([np.empty(0, e.dtype)] + [e[:, i] * n + e[:, j] for i, j in pairs])
         codes.sort()
         return codes
 
@@ -304,42 +327,59 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, stripped
 
 
-# The bytes format_instance writes; any other leaves the text to the line parser
-_PLAIN = b"0123456789 \t\n"
+def _digits(values: np.ndarray) -> int:
+    """How many digits the non-negative ``values`` take, written without leading zeros."""
+    total, power, top = values.size, 10, int(values.max(initial=0))
+    while power <= top:
+        total += int(np.count_nonzero(values >= power))
+        power *= 10
+    return total
 
 
 def _read_array(text: str) -> tuple[int, int, np.ndarray] | None:
-    """(n, u, edge array) when the text is an "n m u" line and m lines of u plain numbers.
+    """(n, u, edge array) when the text is exactly what :func:`format_instance` writes.
 
-    Each line break is read as the number -1, which no token can be, so one
-    numpy read of the whole text also shows where the lines end.  Returns
-    None whenever the text is anything else; the line parser then judges it.
+    That is an "n m u" line and then m lines of u numbers, every number
+    plain decimal digits with no leading zero, followed by one space, or by
+    a newline where its line ends.  The separators are checked before numpy
+    reads the numbers, so numpy is only ever given digits, spaces and
+    newlines.  Returns None for any other text (tabs, repeated or leading
+    spaces, CRLF, no final newline, comments, blank lines); the line parser
+    then judges it.
     """
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+    if not text.isascii() or not text.endswith("\n"):
         return None
-    lines = text.replace("\n", " -1 ") + ("" if text.endswith("\n") else " -1")
-    values = np.fromstring(lines, dtype=np.int64, sep=" ")
-    if len(values) < 4 or values[3] != -1 or (values[:3] < 0).any():
+    header = text[: text.find("\n")].split(" ")
+    # 18 digits keep n, m and u below 2**60
+    if len(header) != 3 or not all(f.isdigit() and len(f) <= 18 for f in header):
         return None
-    n, m, u = values[:3].tolist()
-    # numpy reads a token past int64 as 2**63-1, so sizes are checked before the
-    # reshape; such a vertex is at least n, and the constructor refuses it
-    if not (2 <= u < _SIZE_LIMIT and n < _SIZE_LIMIT) or len(values) != 4 + m * (u + 1):
+    n, m, u = map(int, header)
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    if u < 2 or buf.max() > ord("9"):
         return None
-    rows = values[4:].reshape(m, u + 1)
-    if (rows[:, -1] != -1).any() or (rows[:, :-1] < 0).any():
+    # every byte below "0" is a separator, the header's three are "  \n", and m*u
+    # is checked against the count before the expected bytes of the rows are built
+    seps = np.compress(buf < ord("0"), buf).tobytes()
+    if len(seps) != 3 + m * u or (m and seps[3:] != (b" " * (u - 1) + b"\n") * m):
         return None
-    return n, u, rows[:, :-1]
+    # one number per separator means single separators; as many digits as the
+    # numbers need means no leading zero (a token past int64 reads as 2**63-1,
+    # which is at least n, so the constructor refuses it)
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if len(values) != len(seps) or len(buf) != len(seps) + _digits(values):
+        return None
+    return n, u, values[3:].reshape(m, u)
 
 
 def parse_instance(text: str) -> Hypergraph:
     """Parse the plain-text instance format into a Hypergraph.
 
-    Text as :func:`format_instance` writes it (only ASCII digits, spaces, tabs
-    and newlines: an "n m u" line, then m lines of u numbers, no blank line)
-    is read in one numpy pass.  Anything else (comments, blank lines, CRLF,
-    signs, a missing number) goes through the line parser, which accepts
-    exactly what it always has and names the offending line.
+    Only the exact bytes :func:`format_instance` writes (an "n m u" line,
+    then m lines of u numbers, one space between numbers and a newline
+    after every line) are read in one numpy pass.  Anything else (tabs,
+    repeated spaces, comments, blank lines, CRLF, leading zeros, signs, a
+    missing number or final newline) goes through the line parser, which
+    accepts exactly what it always has and names the offending line.
 
     Raises:
         InstanceFormatError: on any malformed line, with its line number.
