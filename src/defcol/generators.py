@@ -156,15 +156,17 @@ def _rejection_sample(
 ) -> Hypergraph:
     """Accept candidate edges in the order ``rng.sample`` draws them, a chunk at a time.
 
-    A candidate is rejected when it repeats an accepted edge, would push a
-    degree over ``max_degree`` or (linear) shares a pair with an accepted
-    edge.  Degrees and the accepted edges and pairs only grow, so a chunk's
-    candidates that fail against the state before the chunk are rejected
-    outright.  Of the rest, a row that meets no other of them on a vertex
-    with too little room, on its edge or on a pair is accepted whatever the
-    others do; only the rows that do are settled one by one, in order.
-    Once fewer than ``u`` vertices have room, every later candidate would be
-    rejected, so the draws stop there.
+    Each candidate has keys: its whole row, or (linear) each of its vertex
+    pairs.  A candidate is rejected when one of its keys is taken by an
+    accepted edge or it would push a degree over ``max_degree``; at u = 2 the
+    one pair is the edge, and at u >= 3 a repeated edge repeats all its
+    pairs, so the linear family needs no edge key.  Degrees and taken keys
+    only grow, so a chunk's candidates that fail against the state before
+    the chunk are rejected outright.  Of the rest, a row that shares no key
+    with another of them and no vertex with too little room is accepted
+    whatever the others do; only the rows that do are settled one by one,
+    in order.  Once fewer than ``u`` vertices have room, every later
+    candidate would be rejected, so the draws stop there.
     """
     _check_shape(n, u)
     if max_degree < 0 or target_m < 0:
@@ -172,9 +174,8 @@ def _rejection_sample(
 
     degrees = np.zeros(n, dtype=np.int64)
     tally = np.zeros(n, dtype=np.int64)  # occurrences in the chunk, cleared after each
-    edge_keys: set = set()
-    pair_keys: set = set()
-    first, second = np.array(list(combinations(range(u), 2))).T  # the columns of each pair
+    taken: set = set()  # the keys of the accepted edges
+    pairs = np.array(list(combinations(range(u), 2)))  # the columns of each pair
     accepted: list[np.ndarray] = []
     samples = _Samples(n, u, seed)
     attempts = found = size = 0
@@ -183,60 +184,51 @@ def _rejection_sample(
         size = min(max(2 * size, target_m - found), _CHUNK_ROWS, 10 * target_m - attempts)
         attempts += size
         rows = np.sort(samples.take(size), axis=1)
-        keys = _keys(rows, n)
+        # one row of keys per candidate: its pairs (linear) or its whole row
+        keys = _keys(rows[:, pairs].reshape(-1, 2), n).reshape(len(rows), -1) if linear else _keys(rows, n)[:, None]
         live = np.flatnonzero((degrees[rows] < max_degree).all(axis=1))
-        live = live[~_member(keys[live], edge_keys)]
-        if linear:
-            pairs = _keys(np.stack((rows[:, first], rows[:, second]), axis=2).reshape(-1, 2), n)
-            pairs = pairs.reshape(len(rows), len(first))
-            live = live[~_member(pairs[live], pair_keys).any(axis=1)]
-        flat = rows[live].ravel()
+        live = live[~_member(keys[live], taken).any(axis=1)]
+        rows, keys = rows[live], keys[live]
+        flat = rows.ravel()
         np.add.at(tally, flat, 1)
         room = max_degree - degrees[flat]
         crowded = tally[flat] > room
         tally[flat] = 0
-        unsure = crowded.reshape(-1, u).any(axis=1) | _repeated(keys[live])
-        if linear:
-            unsure |= _repeated(pairs[live].ravel()).reshape(-1, len(first)).any(axis=1)
+        unsure = crowded.reshape(-1, u).any(axis=1) | _repeated(keys).any(axis=1)
         if unsure.any():
-            room_of = dict(zip(flat[crowded].tolist(), room[crowded].tolist()))
-            live = live[_settled(rows[live], unsure, room_of, linear)]
-        live = live[: target_m - found]
-        taken = rows[live]
-        accepted.append(taken)
-        found += len(taken)
-        np.add.at(degrees, taken.ravel(), 1)
-        edge_keys.update(keys[live].tolist())
-        if linear:
-            pair_keys.update(pairs[live].ravel().tolist())
+            keep = _settled(rows, keys, unsure, dict(zip(flat[crowded].tolist(), room[crowded].tolist())))
+            rows, keys = rows[keep], keys[keep]
+        rows, keys = rows[: target_m - found], keys[: target_m - found]
+        accepted.append(rows)
+        found += len(rows)
+        np.add.at(degrees, rows.ravel(), 1)
+        taken.update(keys.ravel().tolist())
 
     return Hypergraph(n, u, np.concatenate(accepted) if accepted else np.empty((0, u), dtype=np.int64))
 
 
-def _settled(rows: np.ndarray, unsure: np.ndarray, room: dict[int, int], linear: bool) -> np.ndarray:
+def _settled(rows: np.ndarray, keys: np.ndarray, unsure: np.ndarray, room: dict[int, int]) -> np.ndarray:
     """Which rows are accepted, deciding the unsure ones in order; every other row is.
 
-    ``room`` holds how many more edges each vertex crowded by these rows may
-    take.  Only unsure rows repeat an edge or pair of another row or hold a
-    crowded vertex, so they are the only ones that can be rejected.
+    ``keys`` holds each row's keys and ``room`` how many more edges each
+    vertex crowded by these rows may take.  Only unsure rows share a key
+    with another row or hold a crowded vertex, so they are the only ones that
+    can be rejected: one is when a key of it is already seen or a vertex of
+    it is left without room.
     """
     keep = np.ones(len(rows), dtype=bool)
-    edges: set[tuple[int, ...]] = set()
-    pairs: set[tuple[int, int]] = set()
+    seen: set = set()  # the keys of the unsure rows accepted so far
     full: set[int] = set()  # crowded vertices left without room
-    for i, edge in zip(np.flatnonzero(unsure).tolist(), map(tuple, rows[unsure].tolist())):
-        if edge in edges or not full.isdisjoint(edge) \
-                or (linear and not pairs.isdisjoint(combinations(edge, 2))):
+    for i, edge, row_keys in zip(np.flatnonzero(unsure).tolist(), rows[unsure].tolist(), keys[unsure].tolist()):
+        if not full.isdisjoint(edge) or not seen.isdisjoint(row_keys):
             keep[i] = False
             continue
-        edges.add(edge)
+        seen.update(row_keys)
         for v in edge:
             if v in room:
                 room[v] -= 1
                 if not room[v]:
                     full.add(v)
-        if linear:
-            pairs.update(combinations(edge, 2))
     return keep
 
 
@@ -257,12 +249,13 @@ def _member(keys: np.ndarray, table: set) -> np.ndarray:
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Which keys occur more than once."""
-    order = np.argsort(keys)
-    same = keys[order[1:]] == keys[order[:-1]]
-    repeated = np.zeros(len(keys), dtype=bool)
+    """Which keys occur more than once, in the shape of keys."""
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    same = flat[order[1:]] == flat[order[:-1]]
+    repeated = np.zeros(len(flat), dtype=bool)
     repeated[order[1:][same]] = repeated[order[:-1][same]] = True
-    return repeated
+    return repeated.reshape(keys.shape)
 
 
 # -- the candidate stream ----------------------------------------------------

@@ -1144,6 +1144,8 @@ def sampler_params(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(sampler_params(), st.sampled_from([1, 2, 7, generators._CHUNK_ROWS]))
+@example((90, 7, 4, 40, 11, True), 7)  # linear at u = 7: 21 pair keys per row
+@example((600, 7, 3, 40, 9, False), 2)  # 600^7 >= 2^63: the row keys are bytes
 def test_random_families_match_the_pure_python_sampler(params, chunk):
     """Same edges in the same order as one ``random.sample`` and one check per attempt.
 
@@ -1170,6 +1172,17 @@ def test_random_families_match_the_reference_at_full_chunks(n, u, max_degree, ta
     make = random_linear if linear else random_bounded_degree
     assert edge_tuples(make(n, u, max_degree, target_m, seed=3)) \
         == tuple(reference_rejection_sample(n, u, max_degree, target_m, 3, linear))
+
+
+@pytest.mark.parametrize("n, max_degree, target_m", [
+    (2000, 10, 3000),  # sparse: few clashes
+    (40, 39, 2000),  # saturating: K_40 fills up and most candidates repeat an edge
+])
+def test_linear_graphs_are_the_bounded_degree_graphs(monkeypatch, n, max_degree, target_m):
+    """At u = 2 the one pair of a candidate is the candidate, so both families refuse the same ones."""
+    monkeypatch.setattr(generators, "_CHUNK_ROWS", 7)
+    assert edge_tuples(random_linear(n, 2, max_degree, target_m, seed=4)) \
+        == edge_tuples(random_bounded_degree(n, 2, max_degree, target_m, seed=4))
 
 
 @pytest.mark.parametrize("n", [7, 2**40])
