@@ -239,8 +239,6 @@ def _cmd_maxcut(args: argparse.Namespace, hg: Hypergraph) -> _Result:
 
 
 def _cmd_color(args: argparse.Namespace, hg: Hypergraph) -> _Result:
-    if args.budget is not None and args.mode in ("graph-maxcut", "greedy-proper"):
-        raise ValueError(f"--budget does not apply to mode {args.mode}: it never resamples")
     config = EngineConfig(mode=args.mode, defect=args.defect, seed=args.seed, budget=args.budget)
     try:
         result = run_engine(hg, config)

@@ -163,6 +163,8 @@ class EngineConfig:
         _check_defect(self.defect)
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.budget is not None and self.mode in ("graph-maxcut", "greedy-proper"):
+            raise ValueError(f"budget does not apply to mode {self.mode}: it never resamples")
 
 
 @dataclass(frozen=True)

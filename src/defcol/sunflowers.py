@@ -35,18 +35,16 @@ class Sunflower:
         for part in (self.core, *self.petals):
             if not (isinstance(part, tuple) and all(v < w for v, w in zip(part, part[1:]))):
                 raise ValueError(f"core and petals must be strictly increasing tuples, got {part!r}")
-        core = set(self.core)
         sizes = {len(p) for p in self.petals}
         if len(sizes) != 1 or 0 in sizes:
             raise ValueError("petals must be nonempty and all the same size")
-        seen: set[int] = set()
+        seen = set(self.core)  # the core, then the petals checked so far
         for petal in self.petals:
-            ps = set(petal)
-            if ps & core:
-                raise ValueError("petal overlaps the core")
-            if ps & seen:
+            if not seen.isdisjoint(petal):
+                if any(v in self.core for v in petal):
+                    raise ValueError("petal overlaps the core")
                 raise ValueError("petals must be pairwise disjoint")
-            seen |= ps
+            seen.update(petal)
 
     @property
     def petal_count(self) -> int:
@@ -93,19 +91,14 @@ def as_sunflower(edges: Sequence[VertexSet]) -> Sunflower | None:
     if len(set(canon)) != len(canon):
         raise ValueError("edges must be distinct")
 
-    if len(canon) == 1:
-        return Sunflower(core=(), petals=(canon[0],))
-
-    core = set(canon[0])
-    for e in canon[1:]:
-        core &= set(e)
-    petals = [tuple(v for v in e if v not in core) for e in canon]
-    union = set()
-    for p in petals:
-        union.update(p)
-    if len(union) != sum(len(p) for p in petals):
+    core = set(canon[0]).intersection(*canon[1:]) if len(canon) > 1 else set()
+    petals = tuple(tuple(v for v in e if v not in core) for e in canon)
+    # distinct sorted edges of one size leave petals that are nonempty, sorted,
+    # of one size and off the core, so Sunflower refuses them only when two share a vertex
+    try:
+        return Sunflower(core=as_vertex_set(core), petals=petals)
+    except ValueError:
         return None
-    return Sunflower(core=as_vertex_set(core), petals=tuple(petals))
 
 
 class _AliveRows:
@@ -208,7 +201,8 @@ def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:
     if inner is None:
         return None
     core = as_vertex_set([old_of_new[v] for v in inner.core] + [busiest])
-    petals = tuple(as_vertex_set(old_of_new[v] for v in petal) for petal in inner.petals)
+    # the link's labels keep the old order, so a mapped petal is still sorted
+    petals = tuple(tuple(old_of_new[v] for v in petal) for petal in inner.petals)
     return Sunflower(core=core, petals=petals)
 
 

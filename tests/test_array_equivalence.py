@@ -1081,7 +1081,8 @@ def test_algorithms_read_only_the_edge_array(mode):
         "graph-maxcut": random_bounded_degree(60, 2, 12, 200, seed=40),
         "naive-lll": random_linear(24, 3, 6, 40, seed=41),
     }.get(mode) or random_bounded_degree(40, 3, 25, 160, seed=1)
-    result = run_engine(hg, EngineConfig(mode=mode, defect=1, seed=7, budget=40))
+    budget = None if mode in ("graph-maxcut", "greedy-proper") else 40
+    result = run_engine(hg, EngineConfig(mode=mode, defect=1, seed=7, budget=budget))
     assert verify(hg, result.colouring, 1).is_defective
 
 

@@ -185,7 +185,7 @@ class TestColorAndVerify:
         argv = ["color", c5, "--mode", mode, "--defect", "1", "--budget", "5", "--json", str(rec)]
         assert main(argv) == 2
         assert capsys.readouterr() == (
-            "", f"error: --budget does not apply to mode {mode}: it never resamples\n")
+            "", f"error: budget does not apply to mode {mode}: it never resamples\n")
         assert not rec.exists()
         assert main(argv[:-4] + argv[-2:]) == 0  # the same call without --budget
 

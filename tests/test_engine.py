@@ -579,6 +579,8 @@ def test_every_mode_returns_a_verified_colouring(data, mode, d, seed):
     # small budgets drive theorem and adaptive into failed probes; naive-lll
     # has no fallback, so it keeps enough budget to finish on these sizes
     budget = data.draw(st.integers(20 if mode == "naive-lll" else 1, 40))
+    if mode in ("graph-maxcut", "greedy-proper"):
+        budget = None
     result = run_engine(hg, EngineConfig(mode=mode, defect=d, seed=seed, budget=budget))
     assert result.colouring.is_total
     assert verify(hg, result.colouring, d).is_defective
@@ -596,6 +598,12 @@ class TestRunEngine:
             EngineConfig(mode="theorem", defect=-1)
         with pytest.raises(ValueError):
             EngineConfig(mode="theorem", defect=0, budget=0)
+
+    @pytest.mark.parametrize("mode", ["graph-maxcut", "greedy-proper"])
+    def test_a_mode_that_never_resamples_refuses_a_budget(self, mode):
+        with pytest.raises(ValueError, match=f"^budget does not apply to mode {mode}: it never resamples$"):
+            EngineConfig(mode=mode, defect=0, budget=5)
+        assert EngineConfig(mode=mode, defect=0).budget is None
 
     def test_every_mode_round_trips_through_verify(self):
         graph = random_bounded_degree(24, 2, 8, 60, seed=40)

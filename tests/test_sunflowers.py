@@ -34,6 +34,16 @@ class TestSunflowerType:
         with pytest.raises(ValueError):
             Sunflower(core=(), petals=((0, 1), (1, 2)))
 
+    @pytest.mark.parametrize("core, petals, message", [
+        ((0,), ((1, 2), (2, 3)), "petals must be pairwise disjoint"),
+        ((0,), ((1, 2), (0, 1)), "petal overlaps the core"),  # meets the core and an earlier petal
+        ((5,), ((1, 2), (1, 5)), "petal overlaps the core"),  # meets the earlier petal first
+        ((5,), ((5, 6), (1, 2)), "petal overlaps the core"),  # the first petal
+    ], ids=["petals", "core-and-earlier-petal", "earlier-petal-then-core", "first-petal"])
+    def test_an_overlap_with_the_core_is_reported_first(self, core, petals, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sunflower(core=core, petals=petals)
+
     @pytest.mark.parametrize("core, petals", [
         ((3, 3), ((1,), (2,))),  # a repeated core vertex
         ((), ((1, 1), (2, 3))),  # a repeated petal vertex
@@ -131,6 +141,7 @@ class TestDecompose:
         used = set()
         for sf in result.sunflowers:
             assert sf.petal_count == a
+            assert as_sunflower(sf.edges()) == sf
             for e in sf.edges():
                 assert e in edge_set
                 assert e not in used  # edge-disjoint
@@ -148,9 +159,12 @@ class TestDecompose:
         assert len(result.sunflowers) == 2
         assert result.leftover == ()
 
-    @pytest.mark.parametrize("seed,a", [(0, 2), (1, 3), (2, 4), (3, 5)])
-    def test_random_instances(self, seed, a):
-        hg = random_bounded_degree(20, 3, 10, 80, seed=seed)
+    # u = 3 unless the id names it; at u = 2 the links are 1-uniform, and seed 7 pivots into one
+    @pytest.mark.parametrize("seed, a, u, m", [
+        (0, 2, 3, 80), (1, 3, 3, 80), (2, 4, 3, 80), (3, 5, 3, 80), (7, 3, 2, 80), (5, 3, 4, 50),
+    ], ids=["0-2", "1-3", "2-4", "3-5", "7-3-u2", "5-3-u4"])
+    def test_random_instances(self, seed, a, u, m):
+        hg = random_bounded_degree(20, u, 10, m, seed=seed)
         self.check(hg, a)
 
     def test_empty(self):
