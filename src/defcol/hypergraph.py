@@ -153,7 +153,7 @@ class Hypergraph:
 
     @classmethod
     def _trusted(cls, n: int, u: int, rows: np.ndarray) -> "Hypergraph":
-        """The hypergraph on int64 rows cut from a valid one and relabelled monotonically.
+        """The hypergraph on int64 rows cut from a valid one, relabelled monotonically if at all.
 
         Such rows are still sorted, in range and distinct, so the sort and the
         checks of the constructor are skipped (and ``__init__`` never runs).
@@ -253,11 +253,11 @@ class Hypergraph:
 
     # -- derived hypergraphs -----------------------------------------------
 
-    def link(self, v: int) -> tuple["Hypergraph", list[int]]:
-        """The link of ``v``: edges through ``v`` with ``v`` removed.
+    def link(self, v: int) -> "Hypergraph":
+        """The link of ``v``: edges through ``v`` with ``v`` removed, in their order.
 
-        Returns the (u-1)-uniform link together with an index map: entry
-        ``i`` of the map is the original label of the link's vertex ``i``.
+        The (u-1)-uniform link keeps the host's ``n`` vertices and their
+        labels, so no index map is needed; ``v`` is isolated in its link.
 
         Raises:
             ValueError: if ``v`` is out of range or the hypergraph is
@@ -267,9 +267,7 @@ class Hypergraph:
         if self.u < 2:
             raise ValueError("link of a 1-uniform hypergraph is not defined")
         rows = self._edges[(self._edges == v).any(axis=1)]
-        rest = rows[rows != v].reshape(-1, self.u - 1)
-        old_of_new = [*range(v), *range(v + 1, self.n)]
-        return Hypergraph._trusted(self.n - 1, self.u - 1, rest - (rest > v)), old_of_new
+        return Hypergraph._trusted(self.n, self.u - 1, rows[rows != v].reshape(-1, self.u - 1))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", list[int]]:
         """Subhypergraph induced on a vertex subset, relabelled to 0..|W|-1.

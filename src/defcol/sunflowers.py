@@ -135,7 +135,7 @@ class _AliveRows:
             for w in self.rows[i]:
                 self._degrees[w] -= 1
 
-    def link(self, v: int) -> tuple[Hypergraph, list[int]]:
+    def link(self, v: int) -> Hypergraph:
         """``Hypergraph.link(v)`` of the alive rows, cut from only the alive rows through ``v``."""
         hg = self._hg
         starts, ids = hg.incidence()
@@ -161,8 +161,9 @@ def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:
     :func:`decompose` keeps.  A search costs the rows its scan walks and,
     when the matching stays short, one link and the same search on it.  A
     view cuts the link from the O(deg v) alive rows through the busiest
-    vertex v (plus O(n) for the link's relabelling); a ``Hypergraph``
-    masks all its rows.
+    vertex v (plus the link's n-long degree count); a ``Hypergraph``
+    masks all its rows.  A link keeps its host's labels, so the inner
+    sunflower's core and petals are already in the caller's labels.
     """
     if a < 1:
         raise ValueError(f"petal count must be >= 1, got {a}")
@@ -196,14 +197,10 @@ def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:
         return Sunflower(core=(), petals=tuple(matched_edges))
 
     busiest = min(matched_vertices, key=lambda v: (-hg.degree([v]), v))
-    link, old_of_new = hg.link(busiest)
-    inner = find_sunflower(link, a)
+    inner = find_sunflower(hg.link(busiest), a)
     if inner is None:
         return None
-    core = as_vertex_set([old_of_new[v] for v in inner.core] + [busiest])
-    # the link's labels keep the old order, so a mapped petal is still sorted
-    petals = tuple(tuple(old_of_new[v] for v in petal) for petal in inner.petals)
-    return Sunflower(core=core, petals=petals)
+    return Sunflower(core=as_vertex_set([*inner.core, busiest]), petals=inner.petals)
 
 
 def decompose(hg: Hypergraph, a: int) -> SunflowerDecomposition:

@@ -1,5 +1,7 @@
 """Core structure: construction, degrees, links, induced subgraphs, text format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,18 +113,33 @@ class TestIncidence:
 
 def test_link_of_complete_4_3_is_triangle():
     hg = complete(4, 3)
-    link, old = hg.link(0)
+    link = hg.link(0)
     assert link.u == 2
-    assert link.n == 3
-    assert link.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert old == [1, 2, 3]
+    assert link.n == 4
+    assert link.edge_array().tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert link.degree([0]) == 0
 
 
 @pytest.mark.parametrize("n, v", [(1, 0), (2, 0), (2, 1), (9, 0), (9, 4), (9, 8)])
-def test_link_index_map_is_every_other_vertex_in_order(n, v):
-    _, old = Hypergraph(n, 2, []).link(v)
-    assert type(old) is list
-    assert old == [w for w in range(n) if w != v]
+def test_link_keeps_the_host_labels(n, v):
+    hg = Hypergraph(n, 2, [(v, w) if v < w else (w, v) for w in range(n) if w != v])
+    link = hg.link(v)
+    assert link.n == n
+    assert link.edge_array().tolist() == [[w] for w in range(n) if w != v]
+
+
+def test_link_allocates_nothing_per_vertex_in_python():
+    # the bound leaves room for the link's degree count, its one n-long array
+    # at 8 bytes per vertex, and none for a Python list of n labels
+    n = 2**20
+    hg = Hypergraph(n, 3, [(0, 1, 2), (1, 5, n - 1), (2, 3, 4)])
+    tracemalloc.start()
+    try:
+        hg.link(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 16
 
 
 def test_link_rejects_unit_uniformity():
@@ -225,7 +242,10 @@ def test_degree_sum_is_m_times_u(hg):
 def test_link_degrees_match_host(hg, v):
     if v >= hg.n or hg.u < 2:
         return
-    link, old = hg.link(v)
+    link = hg.link(v)
+    assert link.n == hg.n
     assert link.m == hg.degree([v])
-    for new_idx, old_idx in enumerate(old):
-        assert link.degree([new_idx]) == hg.degree([v, old_idx])
+    assert link.degree([v]) == 0
+    for w in range(hg.n):
+        if w != v:
+            assert link.degree([w]) == hg.degree([v, w])

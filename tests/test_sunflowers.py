@@ -1,5 +1,7 @@
 """Sunflower recognition, constructive search, and greedy decomposition."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,3 +191,33 @@ def test_decompose_leftover_bound_property(seed, a):
     assert len(result.leftover) <= leftover_bound(3, a)
     for sf in result.sunflowers:
         assert sf.petal_count == a
+
+
+def _relabelled(sunflower, label):
+    return Sunflower(
+        core=tuple(map(label, sunflower.core)),
+        petals=tuple(tuple(map(label, petal)) for petal in sunflower.petals),
+    )
+
+
+# at a = 3 complete(8, 3) and each random seed's decomposition recurse into links, seed 7's into a 1-uniform one
+@pytest.mark.parametrize("hg", [
+    complete(8, 3), complete(7, 2), random_bounded_degree(20, 2, 10, 80, seed=7),
+    random_bounded_degree(20, 3, 10, 80, seed=1), random_bounded_degree(20, 4, 10, 50, seed=5),
+], ids=["complete-8-3", "complete-7-2", "random-u2", "random-u3", "random-u4"])
+@pytest.mark.parametrize("a", [2, 3])
+def test_search_and_decomposition_ignore_the_labels(hg, a):
+    """Spreading the labels out by an increasing map w -> 3w + 2 maps every answer by the same rule."""
+    def label(w):
+        return 3 * w + 2
+
+    spread = Hypergraph(3 * hg.n + 5, hg.u, [tuple(map(label, e)) for e in edge_tuples(hg)])
+    found, found_spread = find_sunflower(hg, a), find_sunflower(spread, a)
+    assert found is not None
+    assert found_spread == _relabelled(found, label)
+    result = decompose(hg, a)
+    assert decompose(spread, a) == replace(
+        result,
+        sunflowers=tuple(_relabelled(sf, label) for sf in result.sunflowers),
+        leftover=tuple(tuple(map(label, e)) for e in result.leftover),
+    )
