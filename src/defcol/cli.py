@@ -138,7 +138,7 @@ def _read_assignment(path: str, n: int) -> Colouring:
 
 
 def _write_labels(path: str, labels: Sequence[int | None]) -> None:
-    """Write one 'vertex label' line per vertex: its colour, or its part."""
+    """Write one 'vertex label' line per vertex: its colour, which for a partition is its part."""
     with open(path, "w", encoding="utf-8") as fh:
         for v, label in enumerate(labels):
             fh.write(f"{v} {label}\n")
@@ -228,7 +228,7 @@ def _cmd_maxcut(args: argparse.Namespace, hg: Hypergraph) -> _Result:
     print(f"pair objective: {run.initial_objective} -> {run.final_objective}")
     print(f"worst within-part incident count {worst} (per-vertex bound up to {bound:.3f})")
     if args.out:
-        _write_labels(args.out, run.partition.parts)
+        _write_labels(args.out, run.partition.colours)
     return 0, {
         "parts": args.parts,
         "moves": run.moves,

@@ -60,7 +60,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import partition
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -797,20 +796,24 @@ def adaptive_colouring(
 def graph_maxcut_colouring(hg: Hypergraph, d: int, seed: int = 0) -> Colouring:
     """Exact graph-case colouring with floor(max_degree/(d+1)) + 1 colours.
 
-    The parts of a locally optimal partition become the colour classes.
-    Local optimality bounds every vertex's same-part degree by
+    A locally optimal partition is the colouring: :func:`max_cut_search`
+    returns it with one colour per part, so the parts are the colour
+    classes.  Local optimality bounds every vertex's same-part degree by
     max_degree / num_parts < d+1, so the colouring is d-defective with no
     probabilistic slack.
 
     Raises:
         ValueError: if the hypergraph is not 2-uniform.
     """
+    # imported here: partition imports Colouring from this module
+    from . import partition
+
     if hg.u != 2:
         raise ValueError(f"needs a 2-uniform hypergraph, got uniformity {hg.u}")
     _check_defect(d)
     num_parts = hg.max_degree // (d + 1) + 1
     # looked up on the module at call time, so wrappers of max_cut_search apply
-    return Colouring(partition.max_cut_search(hg, num_parts, seed).partition.parts, num_parts)
+    return partition.max_cut_search(hg, num_parts, seed).partition
 
 
 # Vertices per block of greedy_proper: one numpy pass per block marks what the

@@ -1,5 +1,10 @@
 """Local-search partition of a hypergraph's vertices into ell parts.
 
+A partition is a :class:`~defcol.engine.Colouring` with one colour per
+part: the search returns one, and the objectives read its labels through
+the total-colouring gate ``verify`` uses (one length check, no uncoloured
+vertex, an exact array past 2**63).
+
 The search minimises the sum, over unordered same-part vertex pairs, of
 their codegree.  A locally optimal partition puts every vertex where its
 same-part codegree mass is smallest, which caps the number of incident
@@ -20,10 +25,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .engine import Colouring, _total_labels
 from .hypergraph import Hypergraph, _runs
 
 __all__ = [
-    "Partition",
     "MaxCutRun",
     "pair_objective",
     "max_cut_search",
@@ -33,41 +38,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]  # vertex -> part index
-    num_parts: int
-
-    def __post_init__(self) -> None:
-        _check_parts(self.num_parts)
-        for v, p in enumerate(self.parts):
-            if not 0 <= p < self.num_parts:
-                raise ValueError(f"vertex {v} assigned to part {p}, outside 0..{self.num_parts - 1}")
-
-    def members(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_parts)]
-        for v, p in enumerate(self.parts):
-            out[p].append(v)
-        return out
-
-
-@dataclass(frozen=True)
 class MaxCutRun:
-    partition: Partition
+    partition: Colouring  # one colour per part
     moves: int
     initial_objective: int
     final_objective: int
 
 
-def pair_objective(hg: Hypergraph, partition: Partition) -> int:
+def pair_objective(hg: Hypergraph, partition: Colouring) -> int:
     """Codegree sum over unordered same-part pairs.
 
     Every edge contributes one for every unordered pair of its vertices
     that landed in the same part, which adds up to exactly the same-part
     codegree sum; the pairs are counted one column pair at a time.
     """
-    if len(partition.parts) != hg.n:
-        raise ValueError(f"partition covers {len(partition.parts)} vertices, hypergraph has {hg.n}")
-    edge_parts = np.asarray(partition.parts)[hg.edge_array()]
+    edge_parts = _total_labels(hg, partition)[hg.edge_array()]
     return sum(
         int((edge_parts[:, i] == edge_parts[:, j]).sum()) for i, j in combinations(range(hg.u), 2)
     )
@@ -93,7 +78,7 @@ def max_cut_search(hg: Hypergraph, num_parts: int, seed: int = 0) -> MaxCutRun:
     _check_parts(num_parts)
     rng = random.Random(seed)
     parts = [rng.randrange(num_parts) for _ in range(hg.n)]
-    initial = pair_objective(hg, Partition(tuple(parts), num_parts))
+    initial = pair_objective(hg, Colouring(tuple(parts), num_parts))
 
     owner, member = np.divmod(hg._pair_codes(), hg.n)  # one entry per edge shared
     counts = np.bincount(owner, minlength=hg.n)
@@ -120,7 +105,7 @@ def max_cut_search(hg: Hypergraph, num_parts: int, seed: int = 0) -> MaxCutRun:
                 moves += 1
                 improved = True
 
-    partition = Partition(tuple(parts), num_parts)
+    partition = Colouring(tuple(parts), num_parts)
     return MaxCutRun(
         partition=partition,
         moves=moves,
@@ -151,14 +136,14 @@ def _part_tallies(
     return list(_runs(flat.tolist(), widths))
 
 
-def within_part_incident_counts(hg: Hypergraph, partition: Partition) -> np.ndarray:
+def within_part_incident_counts(hg: Hypergraph, partition: Colouring) -> np.ndarray:
     """Per vertex, the edges containing it together with at least one same-part vertex.
 
     An edge counts for the vertex in one of its slots when another slot
     holds a vertex of the same part.
     """
     edges = hg.edge_array()
-    edge_parts = np.asarray(partition.parts)[edges]
+    edge_parts = _total_labels(hg, partition)[edges]
     shared = np.zeros(edges.shape, dtype=bool)
     for i, j in combinations(range(hg.u), 2):
         same = edge_parts[:, i] == edge_parts[:, j]

@@ -27,7 +27,6 @@ from defcol import (
     Colouring,
     GridWitness,
     Hypergraph,
-    Partition,
     ProbeStats,
     coords_to_index,
     index_to_coords,
@@ -91,13 +90,13 @@ def mono_degree(hg: Hypergraph, colouring: Colouring, v: int) -> int:
     return count
 
 
-def within_part_incident_count(hg: Hypergraph, partition: Partition, x: int) -> int:
+def within_part_incident_count(hg: Hypergraph, partition: Colouring, x: int) -> int:
     """Edges containing x together with at least one same-part vertex."""
-    p = partition.parts[x]
+    p = partition.colours[x]
     edges = edge_tuples(hg)
     count = 0
     for idx in incident(hg, x):
-        if any(y != x and partition.parts[y] == p for y in edges[idx]):
+        if any(y != x and partition.colours[y] == p for y in edges[idx]):
             count += 1
     return count
 

@@ -5,7 +5,7 @@ from defcol import Hypergraph
 
 PUBLIC_NAMES = [
     "BudgetExhaustedError", "Colouring", "DefectReport", "EngineConfig", "EngineResult",
-    "GridWitness", "Hypergraph", "InstanceFormatError", "MODES", "MaxCutRun", "Partition",
+    "GridWitness", "Hypergraph", "InstanceFormatError", "MODES", "MaxCutRun",
     "ProbeStats", "RoundTrace", "SizeGuardError", "Sunflower", "SunflowerDecomposition",
     "VertexSet", "__version__", "adaptive_colouring", "as_sunflower", "as_vertex_set",
     "bad_vertex_ceiling", "classify", "closed_second_neighbourhood", "complete",

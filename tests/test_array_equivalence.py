@@ -54,7 +54,6 @@ from defcol import (
     EngineConfig,
     Hypergraph,
     InstanceFormatError,
-    Partition,
     bad_vertex_ceiling,
     complete,
     decompose,
@@ -698,29 +697,39 @@ def test_max_cut_search_matches_the_incidence_walk(case, parts, past_widest, see
     num_parts = parts or (u - 1) * hg.max_degree + 1 + past_widest
     canon, incidence, _, _ = ref_build(n, u, edges)
     run = max_cut_search(hg, num_parts, seed)
-    found = (run.partition.parts, run.moves, run.initial_objective, run.final_objective)
+    found = (run.partition.colours, run.moves, run.initial_objective, run.final_objective)
     assert found == ref_max_cut_search(n, canon, incidence, num_parts, seed)
 
 
-@settings(max_examples=200, deadline=None)
-@given(shared_pair_edge_lists(), st.data())
-def test_pair_objective_matches_the_edge_walk(case, data):
-    n, u, edges = case
-    hg = Hypergraph(n, u, edges)
-    num_parts = data.draw(st.sampled_from([1, 2, 3, 6, 2**70]))  # past int64 too
-    parts = data.draw(st.lists(st.sampled_from([0, num_parts // 2, num_parts - 1]), min_size=n, max_size=n))
-    partition = Partition(tuple(parts), num_parts)
-    assert pair_objective(hg, partition) == ref_pair_objective(edge_tuples(hg), parts)
+@st.composite
+def labelled_edge_lists(draw):
+    """Valid (n, u, edges), a part count, and per vertex a label at 0, P-1 or either side of P//2."""
+    n, u, edges = draw(shared_pair_edge_lists())
+    num_parts = draw(st.sampled_from([1, 2, 3, 6, 2**64, 2**70]))  # past int64 too
+    pool = [p for p in (0, num_parts // 2, num_parts // 2 + 1, num_parts - 1) if p < num_parts]
+    return n, u, edges, num_parts, tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+# Labels on both sides of 2**63, which float64 reads as one value: no edge is within a part
+FLOAT64_WINDOW = (3, 2, [[1, 2]], 2**64, (0, 2**63, 2**63 + 1))
 
 
 @settings(max_examples=200, deadline=None)
-@given(shared_pair_edge_lists(), st.data())
-def test_within_part_incident_counts_match_the_per_vertex_checker(case, data):
-    n, u, edges = case
+@given(labelled_edge_lists())
+@example(case=FLOAT64_WINDOW)
+def test_pair_objective_matches_the_edge_walk(case):
+    n, u, edges, num_parts, parts = case
     hg = Hypergraph(n, u, edges)
-    num_parts = data.draw(st.sampled_from([1, 2, 3, 6, 2**70]))  # past int64 too
-    parts = data.draw(st.lists(st.sampled_from([0, num_parts // 2, num_parts - 1]), min_size=n, max_size=n))
-    partition = Partition(tuple(parts), num_parts)
+    assert pair_objective(hg, Colouring(parts, num_parts)) == ref_pair_objective(edge_tuples(hg), parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_edge_lists())
+@example(case=FLOAT64_WINDOW)
+def test_within_part_incident_counts_match_the_per_vertex_checker(case):
+    n, u, edges, num_parts, parts = case
+    hg = Hypergraph(n, u, edges)
+    partition = Colouring(parts, num_parts)
     counts = within_part_incident_counts(hg, partition)
     assert counts.tolist() == [within_part_incident_count(hg, partition, x) for x in range(n)]
 

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcol import (
+    Colouring,
     Hypergraph,
-    Partition,
     guarantee_bound,
     max_cut_search,
     pair_objective,
     random_bounded_degree,
+    within_part_incident_counts,
 )
 from defcol.partition import _part_tallies
 from helpers import edge_tuples, ref_co_members, within_part_incident_count
@@ -22,38 +23,24 @@ from helpers import edge_tuples, ref_co_members, within_part_incident_count
 TRIANGLE = Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 
 
-class TestPartitionType:
-    def test_members(self):
-        p = Partition((0, 1, 0, 2), 3)
-        assert p.members() == [[0, 2], [1], [3]]
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Partition((0, 3), 3)
-        with pytest.raises(ValueError):
-            Partition((-1,), 2)
-
-    def test_rejects_empty_palette(self):
-        with pytest.raises(ValueError):
-            Partition((), 0)
-
-
 class TestPairObjective:
     def test_triangle_all_same(self):
-        assert pair_objective(TRIANGLE, Partition((0, 0, 0), 1)) == 3
+        assert pair_objective(TRIANGLE, Colouring((0, 0, 0), 1)) == 3
 
     def test_triangle_split(self):
-        assert pair_objective(TRIANGLE, Partition((0, 0, 1), 2)) == 1
-        assert pair_objective(TRIANGLE, Partition((0, 1, 2), 3)) == 0
+        assert pair_objective(TRIANGLE, Colouring((0, 0, 1), 2)) == 1
+        assert pair_objective(TRIANGLE, Colouring((0, 1, 2), 3)) == 0
 
     def test_hyperedge_counts_pairs(self):
         hg = Hypergraph(3, 3, [(0, 1, 2)])
-        assert pair_objective(hg, Partition((0, 0, 0), 1)) == 3
-        assert pair_objective(hg, Partition((0, 0, 1), 2)) == 1
+        assert pair_objective(hg, Colouring((0, 0, 0), 1)) == 3
+        assert pair_objective(hg, Colouring((0, 0, 1), 2)) == 1
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pair_objective(TRIANGLE, Partition((0, 0), 1))
+    @pytest.mark.parametrize("objective", [pair_objective, within_part_incident_counts])
+    @pytest.mark.parametrize("labels", [(0, 0), (0, 0, 1, 1)], ids=["short", "long"])
+    def test_length_mismatch(self, objective, labels):
+        with pytest.raises(ValueError, match=f"covers {len(labels)} vertices, hypergraph has 3"):
+            objective(TRIANGLE, Colouring(labels, 2))
 
 
 class TestMaxCutSearch:
@@ -123,7 +110,7 @@ def test_part_tallies_count_co_member_parts_in_narrow_rows(num_parts):
 def test_within_part_count_is_edgewise():
     # vertex 0 shares a part with 1 but not 2: only the edges through 1 count
     hg = Hypergraph(3, 2, [(0, 1), (0, 2)])
-    p = Partition((0, 0, 1), 2)
+    p = Colouring((0, 0, 1), 2)
     assert within_part_incident_count(hg, p, 0) == 1
     assert within_part_incident_count(hg, p, 2) == 0
 
