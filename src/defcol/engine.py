@@ -23,7 +23,10 @@ in batches: while that support stays the same it draws a run of redraws at
 once, classifies them all in one kernel call, and keeps the rows the
 one-at-a-time loop would have reached; after a miss it restores the
 generator and draws the kept rows again, so colours, resample counts and the
-RNG stream are those of one redraw at a time.
+RNG stream are those of one redraw at a time.  Batches grow 1, 2, 4, ...
+rows; while every support met is the whole vertex set, each redraw is a
+fresh uniform colouring that only success can cut short, so they go 64 rows,
+then the cap, instead.
 
 One rule classifies, in :func:`_classifier`: a vertex is bad when more than
 d of its edges are monochromatic, an edge all-bad when all its vertices are
@@ -160,8 +163,7 @@ class EngineConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         _check_defect(self.defect)
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        _check_budget(self.budget)
         if self.budget is not None and self.mode in ("graph-maxcut", "greedy-proper"):
             raise ValueError(f"budget does not apply to mode {self.mode}: it never resamples")
 
@@ -183,6 +185,12 @@ def _check_seed(seed: int) -> None:
     """Refuse a negative seed, which numpy's generators reject with a message that does not name it."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _check_budget(budget: int | None) -> None:
+    """Refuse a resample budget below 1; None stands for :func:`default_budget`."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
 
 
 def _check_defect(d: int) -> None:
@@ -301,7 +309,8 @@ def mono_counts(hg: Hypergraph, colours: np.ndarray) -> np.ndarray:
 # 8, 6.0 / 5.9 at 16, 4.9 / 2.7 at 32, 3.3 / 1.3 at 64, 3.5 / 0.47 at 256 and
 # 3.9 / 0.30 at 1024.  Below 64 rows the counting kernel stays: it is the
 # cheaper one up to B=8, where sparse rounds, which miss every few redraws and
-# then restart B at 1, make nearly all of their calls.  The floor also bounds
+# then restart B at 1, make nearly all of their calls; a probe that meets only
+# the whole vertex set skips 2-63 rows and starts at 64.  The floor also bounds
 # the (max degree, n) padded incidence: a resample loop reaches 64 rows only
 # when max(m, n) <= _BATCH_EDGE_ROWS // _WORD_ROWS = 4096, so that index holds
 # at most 2^24 int64 (128 MiB); a floor of 16 or 32 would allow 2 GiB or 512 MiB.
@@ -469,8 +478,8 @@ def closed_second_neighbourhood(hg: Hypergraph, v: int) -> tuple[int, ...]:
 # binds only where B * max(m, n) would pass 2^18.  It was tuned at a default
 # budget of 1000n, where the adaptive-resample probes (m = 199-228, so
 # 1149-1317 rows at 2^18) reached it; past 2^18 their time stopped falling
-# while peak memory kept growing with B.  At the default of 64n the same
-# probes stop at batches of 1024 rows, under the cap.
+# while peak memory kept growing with B.  At the default of 64n those probes,
+# whose every support is the whole vertex set, go 64 rows, then 1149-1317.
 _BATCH_EDGE_ROWS = 2**18
 
 
@@ -506,9 +515,14 @@ def _resample(
     loop would.  If rows were dropped, the generator state saved before the
     batch is restored and the kept draws are drawn again, so the colours, the
     resample count and the RNG stream are exactly those of redrawing one
-    support at a time.  B starts at 1, doubles after a batch kept whole and
-    drops back to 1 after a miss; it never exceeds the budget left or the cap
-    on B * max(m, n).
+    support at a time.
+
+    B starts at 1, doubles after a batch kept whole and drops back to 1 after
+    a miss.  While the only support computed is the whole vertex set, each
+    redraw is a fresh uniform colouring and only success ends a batch early,
+    so B is ``_WORD_ROWS`` on the first batch and the cap after it; from the
+    first partial support on, the doubling rule holds again.  B never exceeds
+    the budget left or the cap on B * max(m, n).
 
     Returns:
         (colour vector, resamples made, whether no vertex is flagged)
@@ -539,6 +553,8 @@ def _resample(
             return colours, resamples, False
         top = int(flagged.argmax())
         target = int(ids[top]) if ids[top] >= 0 else intern(top)
+        if len(distinct) == 1:  # only the whole vertex set so far: each redraw is a fresh colouring
+            batch = max_rows if resamples else _WORD_ROWS
         size = min(batch, budget - resamples, max_rows)
         state = rng.bit_generator.state
         redrawn = distinct[target]
@@ -595,6 +611,7 @@ def nibble_round(
         raise ValueError(f"palette must have >= 1 colours, got {k}")
     _check_defect(d)
     _check_seed(seed)
+    _check_budget(budget)
     if threshold is None:
         threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
 
@@ -632,6 +649,7 @@ def linear_lll_colouring(
         raise ValueError("needs uniformity >= 2")
     _check_defect(d)
     _check_seed(seed)
+    _check_budget(budget)
     if not hg.is_linear():
         raise ValueError("hypergraph is not linear (two edges share two or more vertices)")
     if budget is None:
@@ -709,6 +727,7 @@ def _round_colouring(
     if hg.u < 2:
         raise ValueError("round colouring needs uniformity >= 2")
     _check_defect(d)
+    _check_budget(budget)
 
     master = random.Random(seed)
     r = hg.u - 1

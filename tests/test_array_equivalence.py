@@ -870,6 +870,8 @@ def resample_case(case, form, d, threshold):
 
 K5 = (5, 2, [list(e) for e in combinations(range(5), 2)])
 K12 = (12, 2, [list(e) for e in combinations(range(12), 2)])
+# a sparse instance whose probes meet both whole-vertex-set and partial supports
+MIXED60 = (60, 3, random_bounded_degree(60, 3, 10, 150, seed=2).edge_array().tolist())
 
 
 @settings(max_examples=120, deadline=None)
@@ -882,15 +884,21 @@ K12 = (12, 2, [list(e) for e in combinations(range(12), 2)])
     st.sampled_from([None, 0.0, -1.0]),
     st.integers(0, 2**32),
 )
-# On complete graphs every support is the whole graph, so batches grow past
-# 64 rows and take the bit-sliced kernel: K_5 never succeeds and runs the
-# whole budget (batches of 1, 1, 2, ..., 128 and 45 rows); K_12 succeeds
-# inside a wide batch (at 89 resamples, row 26 of 64, and at 207, row 80 of
-# 128), so the generator is restored and the kept rows drawn again
+# On complete graphs every support is the whole graph, so batches go 64 rows,
+# then the cap (2^18 // m), and take the bit-sliced kernel: K_5 never succeeds
+# and runs the whole budget (batches of 64 and 236 rows); K_5 at k=5 succeeds
+# at row 25 of its first 64; K_12 succeeds inside the batch after it (at 89
+# resamples, row 25 of 536, and at 207, row 143 of 536, or row 25 of the cap's
+# 3971 at budget 5000), so the generator is restored and the kept rows drawn
+# again.  MIXED60's first batch is one word of 64 rows whose row 3 flags a
+# vertex with a partial support, so it is cut there.
 @example(case=K5, form="terrible", k=3, d=0, budget=300, threshold=-1.0, seed=0)
 @example(case=K5, form="mono-degree", k=2, d=0, budget=300, threshold=None, seed=0)
+@example(case=K5, form="mono-degree", k=5, d=0, budget=300, threshold=None, seed=0)
 @example(case=K12, form="terrible", k=4, d=1, budget=600, threshold=None, seed=0)
 @example(case=K12, form="mono-degree", k=4, d=2, budget=600, threshold=None, seed=0)
+@example(case=K12, form="terrible", k=4, d=1, budget=5000, threshold=None, seed=0)
+@example(case=MIXED60, form="terrible", k=3, d=0, budget=600, threshold=None, seed=1)
 def test_batched_resample_matches_one_redraw_at_a_time(case, form, k, d, budget, threshold, seed):
     """Same colours, resample count and outcome as the serial loop, for both ``violated`` forms.
 
@@ -943,11 +951,13 @@ FLAGLESS_MID_BATCH = (10, 3, [
 @example(case=NEW_SUPPORT_MID_BATCH, form="terrible", k=2, d=0, budget=200, threshold=None, seed=0)
 @example(case=FLAGLESS_MID_BATCH, form="terrible", k=2, d=0, budget=200, threshold=None, seed=1)
 # every support is the whole graph, so every batch is one whole-support draw;
-# on K_12 a new lowest flagged vertex has its support computed inside a batch
-# (at rows 0 of 2 and 16 of 32), which joins the target's
+# on K_12 a new lowest flagged vertex has its support computed inside the
+# first batch (in the 2nd, 48th and 63rd of its 64 rows), which joins the
+# target's; on MIXED60 the first batch's 3rd row meets a partial support
 @example(case=K5, form="terrible", k=3, d=0, budget=300, threshold=-1.0, seed=0)
 @example(case=K12, form="terrible", k=4, d=1, budget=600, threshold=None, seed=0)
 @example(case=K12, form="mono-degree", k=4, d=2, budget=600, threshold=None, seed=0)
+@example(case=MIXED60, form="terrible", k=3, d=0, budget=600, threshold=None, seed=1)
 def test_batched_resample_computes_the_supports_of_the_serial_loop(case, form, k, d, budget, threshold, seed):
     """``support`` is called on the same vertices, in the same order, as by the serial loop."""
     hg, violated, support = resample_case(case, form, d, threshold)

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -294,14 +295,59 @@ def test_batch_index_is_built_once_per_resample_loop_and_only_for_batches(monkey
     assert nibble_round(hg, 1, 40, budget=300)[2].resamples == 0
     assert linear_lll_colouring(random_linear(30, 3, 6, 40, seed=2), 1)[1].resamples == 0
     assert builds == padded == []  # one row at a time needs neither
-    assert nibble_round(hg, 1, 2, budget=63)[2].resamples == 63  # batches of 1, 2, 4, ..., 32 rows
+    # every support of this probe is the whole vertex set: one batch of 63 rows, which is counted
+    assert nibble_round(hg, 1, 2, budget=63)[2].resamples == 63
     assert (builds, padded) == ([35], [])
     for _ in range(2):
-        assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # then 64, 128 and 45 rows
+        assert nibble_round(hg, 1, 2, budget=300)[2].resamples == 300  # batches of 64 and 236 rows
     assert (builds, padded) == ([35], [35, 35])
     other = random_bounded_degree(35, 3, 18, 199, seed=7001)
     assert nibble_round(other, 1, 2, budget=63)[2].resamples == 63
     assert (builds, padded) == ([35, 35], [35, 35])
+
+
+def batch_rows(monkeypatch):
+    """The row count of every call of every ``_classifier`` callable made from now on, in order."""
+    rows, real = [], engine._classifier
+
+    def recording(*args):
+        violated = real(*args)
+        return lambda colours: rows.append(len(colours)) or violated(colours)
+
+    monkeypatch.setattr(engine, "_classifier", recording)
+    return rows
+
+
+def test_a_probe_that_meets_only_the_whole_vertex_set_goes_64_rows_then_the_cap(monkeypatch):
+    """The first draw, one 64-row word, then batches of 2^18 // m = 1317 rows until the budget of 2240 is spent."""
+    rows = batch_rows(monkeypatch)
+    hg = random_bounded_degree(35, 3, 18, 199, seed=7000)  # the adaptive-resample a35 instance
+    assert nibble_round(hg, 1, 2)[2].resamples == 2240
+    assert rows == [1, 64, 1317, 859]
+
+
+def test_a_probe_that_meets_a_partial_support_first_keeps_the_doubling_schedule(monkeypatch):
+    """Its first target has a partial support, so batches go 1, 2, 4, ... rows and drop back to 1 after a miss."""
+    rows = batch_rows(monkeypatch)
+    hg = random_bounded_degree(60, 3, 10, 150, seed=2)
+    assert nibble_round(hg, 0, 2, seed=0)[2].resamples == 3840
+    assert (len(rows), sum(rows)) == (2517, 5959)
+
+
+@pytest.mark.parametrize("budget", [0, -5, -7])
+def test_every_resampling_entry_point_refuses_a_budget_below_one(budget):
+    hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
+    linear = random_linear(30, 3, 6, 40, seed=2)
+    calls = (
+        partial(EngineConfig, mode="adaptive", defect=1, budget=budget),
+        partial(nibble_round, hg, 1, 2, budget=budget),
+        partial(nibble_colouring, hg, 1, 0, budget),
+        partial(adaptive_colouring, hg, 1, 0, budget),
+        partial(linear_lll_colouring, linear, 1, 0, budget),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
+            call()
 
 
 def test_padded_incidence_is_built_only_where_its_size_is_bounded(monkeypatch):
