@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -88,6 +87,12 @@ def find_defective_colouring(
     gets colour 0.  Mono degrees are maintained incrementally; an edge is
     (re)checked exactly when its highest vertex gets a colour, and the
     branch dies as soon as any committed mono degree passes d.
+
+    The search is one loop over v with an explicit stack, so Python's
+    recursion limit does not bound its depth.  Each coloured vertex has an
+    entry: the vertices of the edges it closed, and the number of colours in
+    use before it; a backtrack pops it.  Colours at or after v are never
+    read, so none is reset.
     """
     _guard(hg.n, force)
     if k < 1:
@@ -99,39 +104,30 @@ def find_defective_colouring(
     # each edge under its largest vertex (the order inside a group does not matter)
     edges_by_last = list(_runs(edges[np.argsort(last)].tolist(), np.bincount(last, minlength=hg.n)))
 
-    colours = [-1] * hg.n
+    colours = [0] * hg.n
     mono = [0] * hg.n
-
-    def shift(edges: list[list[int]], step: int) -> None:
-        for e in edges:
-            for w in e:
-                mono[w] += step
-
-    def completes_ok(v: int, c: int) -> list[list[int]] | None:
-        """Commit newly monochromatic edges at v, or None on a violation."""
-        newly = [e for e in edges_by_last[v] if all(colours[w] == c for w in e[:-1])]
-        shift(newly, 1)
-        if any(mono[w] > d for e in newly for w in e):
-            shift(newly, -1)
-            return None
-        return newly
-
-    def search(v: int, used: int) -> bool:
-        if v == hg.n:
-            return True
-        for c in range(min(k, used + 1)):
+    stack: list[tuple[list[int], int]] = []
+    v = c = used = 0
+    while v < hg.n:
+        if c < min(k, used + 1):
             colours[v] = c
-            newly = completes_ok(v, c)
-            if newly is not None:
-                if search(v + 1, max(used, c + 1)):
-                    return True
-                shift(newly, -1)
-            colours[v] = -1
-        return False
-
-    if search(0, 0):
-        return Colouring(tuple(colours), k)
-    return None
+            closed = [w for e in edges_by_last[v] if all(colours[x] == c for x in e[:-1]) for w in e]
+            for w in closed:
+                mono[w] += 1
+            if all(mono[w] <= d for w in closed):
+                stack.append((closed, used))
+                v, c, used = v + 1, 0, max(used, c + 1)
+                continue
+        elif stack:  # v has no colour left: back to the vertex before it
+            v -= 1
+            c = colours[v]
+            closed, used = stack.pop()
+        else:
+            return None
+        for w in closed:  # take the failed colour's edges back out and try the next colour
+            mono[w] -= 1
+        c += 1
+    return Colouring(tuple(colours), k)
 
 
 def exact_defective_chromatic(
@@ -271,36 +267,21 @@ class ProbeStats:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-# Trials drawn and counted per step of the probes, so their memory stays flat however many are asked for.
+# Trials drawn and counted per step of the probes, so their memory stays flat however many are asked for;
+# numpy takes bounded int32 values from the stream one at a time, so the chunks hold the values of one draw.
 _PROBE_ROWS = 2**16
-
-
-def _count_trials(k: int, trials: int, seed: int, width: int, hit: Callable[[np.ndarray], np.ndarray]) -> ProbeStats:
-    """How many of ``trials`` rows of ``width`` uniform int32 colours below k ``hit`` flags.
-
-    The rows are drawn ``_PROBE_ROWS`` at a time; numpy takes bounded int32 values from
-    the stream one at a time, so the chunks hold the values of one (trials, width) draw.
-    """
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    count = 0
-    for start in range(0, trials, _PROBE_ROWS):
-        draws = rng.integers(0, k, size=(min(_PROBE_ROWS, trials - start), width), dtype=np.int32)
-        count += np.count_nonzero(hit(draws))
-    return ProbeStats(trials, count)
 
 
 def probe_mono_edge(hg: Hypergraph, k: int, trials: int, seed: int = 0) -> ProbeStats:
     """Estimate the probability that the first edge comes out monochromatic.
 
-    The event reads only the edge's own colours, so only those are drawn;
-    the estimate targets k^(-r) with r = u-1.
+    This is the one-edge bad-vertex probe: the event is vertex 0's at d = 0
+    on a single edge of u vertices, so the same u colours are drawn per trial
+    and the counts are the same.  The estimate targets k^(-r) with r = u-1.
     """
     if hg.m < 1:
         raise ValueError("needs at least one edge")
-    if not 1 <= k <= 2**31 or trials < 1:  # the colours are drawn as int32
-        raise ValueError(f"need 1 <= k <= 2**31 and trials >= 1, got k={k}, trials={trials}")
-    return _count_trials(k, trials, seed, hg.u, lambda draws: (draws == draws[:, :1]).all(axis=1))
+    return probe_bad_vertex(Hypergraph(hg.u, hg.u, [range(hg.u)]), k, 0, 0, trials, seed)
 
 
 def probe_bad_vertex(
@@ -315,16 +296,19 @@ def probe_bad_vertex(
     hg._check_vertex(v)
     if not 1 <= k <= 2**31 or trials < 1 or d < 0:  # the colours are drawn as int32
         raise ValueError(f"need 1 <= k <= 2**31, trials >= 1, d >= 0; got k={k}, trials={trials}, d={d}")
+    _check_seed(seed)
     edges = hg.edge_array()
     through = edges[(edges == v).any(axis=1)]
     support = np.union1d(through, [v])  # sorted, and {v} alone when v is isolated
     columns = np.searchsorted(support, through)
-
-    def bad(draws: np.ndarray) -> np.ndarray:
-        mono = [(draws[:, cols] == draws[:, cols[:1]]).all(axis=1) for cols in columns]
-        return np.sum(mono, axis=0, dtype=np.int64) >= d + 1  # 0 >= d + 1 when v lies on no edge
-
-    return _count_trials(k, trials, seed, len(support), bad)
+    rng = np.random.default_rng(seed)
+    count = 0
+    for start in range(0, trials, _PROBE_ROWS):
+        draws = rng.integers(0, k, size=(min(_PROBE_ROWS, trials - start), len(support)), dtype=np.int32)
+        # the per-edge comparisons are a temporary, so they die with their chunk
+        degree = np.sum([(draws[:, cols] == draws[:, cols[:1]]).all(axis=1) for cols in columns], axis=0)
+        count += np.count_nonzero(degree >= d + 1)  # 0 >= d + 1 when v lies on no edge
+    return ProbeStats(trials, count)
 
 
 def bad_vertex_ceiling(hg: Hypergraph, v: int, k: int, d: int) -> float:

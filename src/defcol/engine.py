@@ -276,7 +276,7 @@ def _edge_counts(hg: Hypergraph, mask: np.ndarray) -> np.ndarray:
 
 
 def _mono_edges(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
-    """Per edge (and row), whether the vertex-major colours agree at all u slots.
+    """Per edge (and row), whether the vertex-major colours agree at all slots.
 
     Only the mask outlives the call: the gathered (m, B) colours held over the
     counting that follows made the allocator return and refault pages on every call.
@@ -886,10 +886,9 @@ def greedy_proper(hg: Hypergraph) -> Colouring:
     bounds = starts.tolist()
     for b, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
         rows = marked[marked_starts[b]:marked_starts[b + 1]]
-        others = colours[rows[:, :-1]]
-        mono = (others == others[:, :1]).all(axis=1)
+        mono = _mono_edges(rows[:, :-1], colours)
         forbids = np.zeros((b1 - b0, palette + 1), dtype=bool)
-        forbids[rows[mono, -1] - b0, others[mono, 0]] = True
+        forbids[rows[mono, -1] - b0, colours[rows[mono, 0]]] = True
         out += forbids.argmin(axis=1).tolist()  # the first free column; column palette is always free
         i0, i1 = walked_starts[b], walked_starts[b + 1]
         marks = forbids[walked[i0:i1] - b0].tolist()

@@ -411,7 +411,8 @@ def _parse_lines(text: str) -> Hypergraph:
     if u < 2:
         raise InstanceFormatError(lineno, f"uniformity must be >= 2, got {u}")
 
-    edges: list[tuple[int, ...]] = []
+    header_line = lineno  # where the faults of the whole instance are reported
+    edges: dict[VertexSet, None] = {}  # the sorted edges read so far, in line order
     for lineno, line in lines:
         if len(edges) == m:
             raise InstanceFormatError(lineno, f"expected exactly {m} edge lines, found more")
@@ -425,14 +426,17 @@ def _parse_lines(text: str) -> Hypergraph:
             raise InstanceFormatError(lineno, f"repeated vertex in edge {edge!r}")
         if min(edge) < 0 or max(edge) >= n:
             raise InstanceFormatError(lineno, f"vertex outside 0..{n - 1} in edge {edge!r}")
-        edges.append(edge)
+        e = tuple(sorted(edge))
+        if e in edges:
+            raise InstanceFormatError(lineno, f"duplicate edge {e!r}")
+        edges[e] = None
     if len(edges) != m:
-        raise InstanceFormatError(lineno if edges else 1, f"expected {m} edge lines, found {len(edges)}")
+        raise InstanceFormatError(lineno, f"expected {m} edge lines, found {len(edges)}")
 
     try:
-        return Hypergraph(n, u, edges)
-    except ValueError as exc:  # duplicate edges and friends
-        raise InstanceFormatError(1, str(exc)) from None
+        return Hypergraph(n, u, list(edges))
+    except ValueError as exc:  # the sizes an array cannot hold
+        raise InstanceFormatError(header_line, str(exc)) from None
 
 
 def format_instance(hg: Hypergraph) -> str:

@@ -143,6 +143,12 @@ class TestExactOracle:
             col = find_defective_colouring(hg, 1, k)
             assert verify(hg, col, 1).is_defective
 
+    def test_depth_is_not_bound_by_the_recursion_limit(self):
+        # 1500 vertices deep: a recursive search died with RecursionError past about 1000
+        hg = random_bounded_degree(1500, 3, 4, 1500, seed=1)
+        assert find_defective_colouring(hg, 4, 1, force=True) == Colouring((0,) * 1500, 1)
+        assert exact_defective_chromatic(hg, 4, force=True) == 1
+
 
 class TestCompleteLowerbound:
     @pytest.mark.parametrize(

@@ -132,7 +132,8 @@ def ref_parse(text):
         raise InstanceFormatError(lineno, "n and m must be non-negative")
     if u < 2:
         raise InstanceFormatError(lineno, f"uniformity must be >= 2, got {u}")
-    edges = []
+    header_line = lineno
+    edges, seen = [], set()
     for lineno, line in lines:
         if len(edges) == m:
             raise InstanceFormatError(lineno, f"expected exactly {m} edge lines, found more")
@@ -146,13 +147,17 @@ def ref_parse(text):
             raise InstanceFormatError(lineno, f"repeated vertex in edge {edge!r}")
         if min(edge) < 0 or max(edge) >= n:
             raise InstanceFormatError(lineno, f"vertex outside 0..{n - 1} in edge {edge!r}")
+        e = tuple(sorted(edge))
+        if e in seen:
+            raise InstanceFormatError(lineno, f"duplicate edge {e!r}")
+        seen.add(e)
         edges.append(edge)
     if len(edges) != m:
-        raise InstanceFormatError(lineno if edges else 1, f"expected {m} edge lines, found {len(edges)}")
+        raise InstanceFormatError(lineno, f"expected {m} edge lines, found {len(edges)}")
     try:
         return n, u, ref_build(n, u, edges)[0]
     except ValueError as exc:
-        raise InstanceFormatError(1, str(exc)) from None
+        raise InstanceFormatError(header_line, str(exc)) from None
 
 
 def ref_greedy(n, edges, incidence):

@@ -224,6 +224,12 @@ class TestExactAndProbe:
         assert main(["exact", str(big), "--defect", "0"]) == 2
         assert main(["exact", str(big), "--defect", "0", "--force"]) == 0
 
+    def test_exact_runs_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        deep = tmp_path / "deep.txt"
+        deep.write_text(format_instance(defcol.random_bounded_degree(1500, 3, 4, 1500, seed=1)))
+        assert main(["exact", str(deep), "--defect", "4", "--force"]) == 0
+        assert ": 1" in capsys.readouterr().out
+
     def test_probe_mono_edge(self, h3, capsys):
         code = main(["probe", h3, "--what", "mono-edge", "--k", "4", "--trials", "2000"])
         assert code == 0

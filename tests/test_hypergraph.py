@@ -204,6 +204,15 @@ class TestTextFormat:
             parse_instance("3 1 2\n0 x\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("# note\n\n4 3 3\n0 1 2\n1 2 3\n2 1 0\n", "line 6: duplicate edge (0, 1, 2)"),  # the repeat's line
+        ("# note\n3 2 3\n", "line 2: expected 2 edge lines, found 0"),  # the header's line
+    ])
+    def test_fault_reports_its_own_line(self, text, message):
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
     def test_misplaced_line_break_goes_to_the_line_parser(self):
         """The value count fits two edges of two, but the first line holds three."""
         with pytest.raises(InstanceFormatError, match="^line 2: edge line must list 2 vertices, got 3$"):
