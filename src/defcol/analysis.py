@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, _check_defect, _check_seed, _labels, _total_labels, mono_counts
+from .engine import Colouring, _check_defect, _check_palette, _check_seed, _labels, _total_labels, mono_counts
 from .generators import coords_to_index, grid
 from .hypergraph import Hypergraph, _runs
 
@@ -95,8 +95,7 @@ def find_defective_colouring(
     read, so none is reset.
     """
     _guard(hg.n, force)
-    if k < 1:
-        raise ValueError(f"palette must have >= 1 colours, got {k}")
+    _check_palette(k)
     _check_defect(d)
 
     edges = hg.edge_array()
@@ -141,12 +140,13 @@ def exact_defective_chromatic(
     colouring is proper).
 
     Raises:
-        ValueError: if the cap is negative.
-        SizeGuardError: for n > 16 unless force is set.
+        ValueError: if the cap or d is negative.
+        SizeGuardError: for n > 16 unless force is set; checked before d.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     _guard(hg.n, force)
+    _check_defect(d)
     if limit is None:
         limit = max(1, hg.n)
     for k in range(1, limit + 1):
@@ -175,8 +175,8 @@ def complete_lowerbound(n: int, u: int, k: int, d: int) -> bool:
     """
     if n < u:
         raise ValueError(f"need n >= u, got n={n}, u={u}")
-    if k < 1 or d < 0:
-        raise ValueError("need k >= 1 and d >= 0")
+    _check_palette(k)
+    _check_defect(d)
     largest = -(-n // k)
     return math.comb(largest - 1, u - 1) > d
 
@@ -313,5 +313,6 @@ def probe_bad_vertex(
 
 def bad_vertex_ceiling(hg: Hypergraph, v: int, k: int, d: int) -> float:
     """Markov bound on P(mono degree of v >= d+1): deg(v) * k^(-r) / (d+1)."""
-    r = hg.u - 1
-    return hg.degree([v]) * float(k) ** (-r) / (d + 1)
+    _check_palette(k)
+    _check_defect(d)
+    return hg.degree([v]) * float(k) ** -(hg.u - 1) / (d + 1)

@@ -32,6 +32,7 @@ import time
 from typing import Any, Sequence
 
 from .analysis import (
+    DefectReport,
     SizeGuardError,
     bad_vertex_ceiling,
     exact_defective_chromatic,
@@ -154,6 +155,16 @@ def _build(family: str, n: int, k: int, max_degree: int = 0, edges: int = 0, see
     return sample(n, k, max_degree, edges, seed=seed)
 
 
+def _verdict(report: DefectReport) -> _Result:
+    """A verified colouring's exit status and the record fields ``color`` and ``verify`` share."""
+    return (0 if report.is_defective else 1), {
+        "defect": report.defect,
+        "max_mono_degree": report.max_mono_degree,
+        "violations": len(report.violating),
+        "valid": report.is_defective,
+    }
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -263,16 +274,14 @@ def _cmd_color(args: argparse.Namespace, hg: Hypergraph) -> _Result:
         print("verifier: ok")
     else:
         print(f"INVALID: violating vertices {list(report.violating)[:10]}", file=sys.stderr)
-    return (0 if report.is_defective else 1), {
+    code, shared = _verdict(report)
+    return code, {
+        **shared,
         "mode": args.mode,
-        "defect": args.defect,
         "palette": result.colouring.num_colours,
         "distinct": report.colours_used,
         "rounds": len(result.traces),
         "resamples": resamples,
-        "max_mono_degree": report.max_mono_degree,
-        "violations": len(report.violating),
-        "valid": report.is_defective,
     }
 
 
@@ -289,13 +298,8 @@ def _cmd_verify(args: argparse.Namespace, hg: Hypergraph) -> _Result:
         print(f"violating ({len(report.violating)}): {shown}")
     else:
         print("violating (0)")
-    return (0 if report.is_defective else 1), {
-        "defect": args.defect,
-        "colours_used": report.colours_used,
-        "max_mono_degree": report.max_mono_degree,
-        "violations": len(report.violating),
-        "valid": report.is_defective,
-    }
+    code, shared = _verdict(report)
+    return code, {**shared, "colours_used": report.colours_used}
 
 
 def _cmd_exact(args: argparse.Namespace, hg: Hypergraph) -> _Result:
@@ -418,11 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func: Any, help: str, instance: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, func: Any, help: str, instance: bool = True, seeded: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         if instance:
             p.add_argument("instance", help="instance file path, or - for stdin")
-        p.set_defaults(func=func, seed=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func, seed=0)  # the record's seed, 0 where nothing is drawn
         return p
 
     p = command("generate", _cmd_generate, "emit a benchmark instance", instance=False)
@@ -432,30 +438,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2, help="grid dimension")
     p.add_argument("--max-degree", type=int, default=6, dest="max_degree")
     p.add_argument("--edges", type=int, default=None, help="target edge count (default 2n)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write instance here instead of stdout")
     p.add_argument("--force", action="store_true", help="ignore the size guard")
 
-    p = command("sunflower", _cmd_sunflower, "greedy sunflower decomposition")
+    p = command("sunflower", _cmd_sunflower, "greedy sunflower decomposition", seeded=False)
     p.add_argument("--petals", type=int, required=True)
 
     p = command("maxcut", _cmd_maxcut, "local-search vertex partition")
     p.add_argument("--parts", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write 'vertex part' lines here")
 
     p = command("color", _cmd_color, "run a colouring mode and verify the result")
     p.add_argument("--mode", choices=list(MODES), default="theorem")
     p.add_argument("--defect", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="resampling budget (default 64n)")
     p.add_argument("--out", default=None, help="write 'vertex colour' lines here")
 
-    p = command("verify", _cmd_verify, "check an assignment file against a defect bound")
+    p = command("verify", _cmd_verify, "check an assignment file against a defect bound", seeded=False)
     p.add_argument("assignment", help="file of 'vertex colour' lines")
     p.add_argument("--defect", type=int, default=0)
 
-    p = command("exact", _cmd_exact, "brute-force minimum palette size")
+    p = command("exact", _cmd_exact, "brute-force minimum palette size", seeded=False)
     p.add_argument("--defect", type=int, default=0)
     p.add_argument("--limit", type=int, default=None, help="largest palette to try (default n)")
     p.add_argument("--force", action="store_true", help="ignore the size guard")
@@ -466,11 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defect", type=int, default=0)
     p.add_argument("--vertex", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = command("bench", _cmd_bench, "run a built-in suite and print a results table", instance=False)
     p.add_argument("--suite", required=True, choices=list(_SUITES))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=None, help="run only the first N instances")
 
     for p in sub.choices.values():
@@ -493,14 +494,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             _write_record(args, outcome.pop("instance_digest", digest), outcome, started)
         sys.stdout.flush()
         return code
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught first
         return _CLOSED_PIPE
-    except (ValueError, OSError) as exc:  # malformed files and size guards included
+    except (BudgetExhaustedError, ValueError, OSError) as exc:  # malformed files and size guards included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BudgetExhaustedError) else 2
 
 
 def entry() -> None:

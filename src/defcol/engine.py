@@ -41,10 +41,10 @@ picked by the number of rows B:
   faster per call than one ``bincount`` over row-offset ids;
 * 64 or more rows of integer labels: bit-sliced, 64 rows to a uint64 word.
   Each bit plane of the labels is packed into words, an edge is
-  monochromatic where no plane tells its slots apart, and "at least t" is
-  t-1 OR-accumulates and one OR-reduce along a (max degree, n) incidence
-  padded with a zero sentinel edge.  It is slower than counting on a few
-  rows and faster on many (see ``_WORD_ROWS``).
+  monochromatic where no plane tells its slots apart, and "more than x" is
+  floor(x) OR-accumulates and one OR-reduce along a (max degree, n)
+  incidence padded with a zero sentinel edge.  It is slower than counting
+  on a few rows and faster on many (see ``_WORD_ROWS``).
 
 All three give the same flags.  The hypergraph builds and caches its
 incidence on the first counted batch, so every probe on one round's
@@ -199,6 +199,12 @@ def _check_defect(d: int) -> None:
         raise ValueError(f"defect must be >= 0, got {d}")
 
 
+def _check_palette(k: int) -> None:
+    """Refuse a palette of fewer than one colour."""
+    if k < 1:
+        raise ValueError(f"palette must have >= 1 colours, got {k}")
+
+
 def _total_labels(hg: Hypergraph, colouring: Colouring) -> np.ndarray:
     """The :func:`_labels` of a colouring; refuses one of another length than ``hg`` or with an uncoloured vertex."""
     if len(colouring.colours) != hg.n:
@@ -220,8 +226,7 @@ def _labels(colouring: Colouring) -> np.ndarray:
 
 def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
     """Independent uniform colour draws for every vertex."""
-    if k < 1:
-        raise ValueError(f"palette must have >= 1 colours, got {k}")
+    _check_palette(k)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=hg.n)
@@ -346,22 +351,22 @@ def _mono_words(edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return ~np.bitwise_or.reduce(differ, axis=1)
 
 
-def _at_least(words: np.ndarray, padded: np.ndarray, t: int) -> np.ndarray:
-    """(n, W) words: for each vertex and row, whether at least t of the vertex's edges have their bit set.
+def _more_than(words: np.ndarray, padded: np.ndarray, x: float) -> np.ndarray:
+    """(n, W) words: for each vertex and row, whether more than x of the vertex's edges have their bit set.
 
     ``words`` holds one (m, W) row per edge; the sentinel id m that pads
-    ``padded`` reads a zero row appended here.  Round j (1 <= j < t) keeps
-    the bits of the vertex's (j+1)-th edge slot onwards that follow j set
-    bits, by one OR-accumulate along the slots, and a last OR-reduce asks
-    whether the t-th set bit exists; each round reads only the Δ-t+1 slots
-    that can still reach t.
+    ``padded`` reads a zero row appended here.  Below 0 every vertex passes;
+    at or past the max degree Δ (or NaN) none does.  Otherwise, with
+    t = floor(x) + 1, round j (1 <= j < t) keeps the bits of the vertex's
+    (j+1)-th edge slot onwards that follow j set bits, by one OR-accumulate
+    along the slots, and a last OR-reduce asks whether the t-th set bit
+    exists; each round reads only the Δ-t+1 slots that can still reach t.
     """
+    if not 0 <= x < len(padded):
+        return np.full((padded.shape[1], words.shape[1]), ~np.uint64(0) if x < 0 else np.uint64(0))
+    t = math.floor(x) + 1
     sentinel = np.zeros((1, words.shape[1]), dtype=np.uint64)
     gathered = np.concatenate([words, sentinel]).take(padded, axis=0)  # (Δ, n, W)
-    if t <= 0:
-        return np.full(gathered.shape[1:], ~np.uint64(0))
-    if t > len(gathered):
-        return np.zeros(gathered.shape[1:], dtype=np.uint64)
     span = len(gathered) - t + 1
     reach = gathered[:span]
     for j in range(1, t):
@@ -382,64 +387,54 @@ def _classifier(hg: Hypergraph, d: int, threshold: float | None = None) -> Calla
     all-bad when all its vertices are bad, and a vertex terrible when more
     than ``threshold`` of its edges are all-bad.  The callable flags the
     terrible vertices when given a threshold and the bad ones otherwise.
-    B >= 64 rows of integer labels ask "more than x of a vertex's edges"
-    bit-sliced, the rest by counting.  One row reads no index; 2-63 rows
-    read ``hg.incidence()``, which the hypergraph caches; the padded
-    incidence, whose size is bounded only by the batch cap, is built from it
-    at most once per classifier, by its first bit-sliced call.
+    B >= 64 rows of integer labels ask "more than x" of :func:`_more_than`
+    (x goes by name, after its bound padded incidence), the rest by
+    counting.  One row reads no index; 2-63 rows read ``hg.incidence()``,
+    which the hypergraph caches; the padded incidence, whose size is bounded
+    only by the batch cap, is built from it at most once per classifier, by
+    its first bit-sliced call.
     """
     edges, padded = hg.edge_array(), cache(partial(_padded_incidence, hg))
 
     def counted(mask: np.ndarray, x: float) -> np.ndarray:
         return _edge_counts(hg, mask) > x
 
-    def sliced(words: np.ndarray, x: float) -> np.ndarray:
-        degree = len(padded())
-        # below 0 every count passes; at or past the max degree (or NaN) none does
-        return _at_least(words, padded(), 0 if x < 0 else math.floor(x) + 1 if x < degree else degree + 1)
-
-    def rule(mono: np.ndarray, more_than: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
-        bad = more_than(mono, d)
+    def rule(mono: np.ndarray, more_than: Callable[..., np.ndarray]) -> np.ndarray:
+        bad = more_than(mono, x=d)
         if threshold is None:
             return bad
         slots = _slots(edges, bad)
         all_bad = next(slots)
         for at in slots:
             all_bad &= at
-        return more_than(all_bad, threshold)
+        return more_than(all_bad, x=threshold)
 
     def violated(colours: np.ndarray) -> np.ndarray:
         if _is_wide(colours):
-            return _unpack(rule(_mono_words(edges, colours), sliced), len(colours))
+            return _unpack(rule(_mono_words(edges, colours), partial(_more_than, padded=padded())), len(colours))
         return rule(_mono_edges(edges, _vertex_major(colours)), counted).T.reshape(colours.shape)
 
     return violated
 
 
-def classify(
-    hg: Hypergraph,
-    colouring: Colouring,
-    d: int,
-    bad_edge_threshold: float | None = None,
-) -> tuple[set[int], set[int]]:
+def classify(hg: Hypergraph, colouring: Colouring, d: int) -> tuple[set[int], set[int]]:
     """Split vertices into bad and terrible under a total colouring.
 
-    The colouring must pass the total-colouring check that
-    ``analysis.verify`` also runs (:func:`_total_labels`).  A vertex is bad
-    when its monochromatic degree is at least d+1.  An
-    edge is bad when every one of its vertices is bad (it need not be
-    monochromatic itself).  A vertex is terrible when it lies in strictly
-    more bad edges than the threshold, which defaults to 2^(-r) * max
-    degree with r = u-1.
+    The defect and the colouring must pass the checks that
+    ``analysis.verify`` also runs (:func:`_check_defect`,
+    :func:`_total_labels`).  A vertex is bad when its monochromatic degree
+    is at least d+1.  An edge is bad when every one of its vertices is bad
+    (it need not be monochromatic itself).  A vertex is terrible when it
+    lies in strictly more bad edges than the fixed threshold 2^(-r) * max
+    degree with r = u-1, :func:`nibble_round`'s default.
 
     Returns:
         (bad vertices, terrible vertices)
     """
+    _check_defect(d)
     colours = _total_labels(hg, colouring)
-    if bad_edge_threshold is None:
-        bad_edge_threshold = hg.max_degree * 2.0 ** -(hg.u - 1)
     bad = _classifier(hg, d)(colours)
-    terrible = _classifier(hg, d, bad_edge_threshold)(colours)
+    terrible = _classifier(hg, d, hg.max_degree * 2.0 ** -(hg.u - 1))(colours)
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
 
 
@@ -607,8 +602,7 @@ def nibble_round(
         exhaustion the trace carries succeeded=False, the colouring is
         the last total draw, and the residual is None.
     """
-    if k < 1:
-        raise ValueError(f"palette must have >= 1 colours, got {k}")
+    _check_palette(k)
     _check_defect(d)
     _check_seed(seed)
     _check_budget(budget)

@@ -52,7 +52,7 @@ _SIZE_LIMIT = 2**60
 
 
 def _first_fault(edges: Iterable[Iterable[int]], n: int, u: int) -> None:
-    """The per-edge check, in input order: raise the ValueError naming the first bad edge.
+    """The per-edge check: raise the ValueError naming the first malformed edge, else the first duplicate.
 
     This is the reference the vectorised checks in :class:`Hypergraph` stand
     in for; it runs only once they have found a fault, and it writes the message.
@@ -97,12 +97,13 @@ class Hypergraph:
     """A ``u``-uniform hypergraph on ``n`` vertices.
 
     Edges must each contain exactly ``u`` distinct vertices in range, and
-    duplicate edges are rejected; the first offending edge, in input
-    order, is named in the ``ValueError``.  The edges are stored once, as
-    the (m, u) array :meth:`edge_array` returns, with degrees counted at
-    construction.  :meth:`neighbour_sets` and :meth:`incidence`, CSR pairs
-    of int64 arrays, are built on first use, so code that does not read them
-    never pays for them.
+    duplicate edges are rejected.  The ``ValueError`` names the first edge,
+    in input order, that breaks the first rule, else the first duplicate:
+    ``[(0, 1), (1, 0), (0, 9)]`` on 5 vertices names ``(0, 9)``.  The edges
+    are stored once, as the (m, u) array :meth:`edge_array` returns, with
+    degrees counted at construction.  :meth:`neighbour_sets` and
+    :meth:`incidence`, CSR pairs of int64 arrays, are built on first use, so
+    code that does not read them never pays for them.
 
     ``u >= 2`` is the usual case; ``u == 1`` is permitted so that links of
     2-uniform hypergraphs (whose edges shrink to singletons) remain

@@ -69,8 +69,15 @@ class SunflowerDecomposition:
         return leftover_bound(self.uniformity, self.petal_count)
 
 
+def _check_petals(a: int) -> None:
+    """Refuse a sunflower of fewer than one petal."""
+    if a < 1:
+        raise ValueError(f"petal count must be >= 1, got {a}")
+
+
 def leftover_bound(uniformity: int, a: int) -> int:
     """u! * (a-1)^u, the guaranteed ceiling on edges left undecomposed."""
+    _check_petals(a)
     return math.factorial(uniformity) * (a - 1) ** uniformity
 
 
@@ -165,8 +172,7 @@ def find_sunflower(hg: Hypergraph | _AliveRows, a: int) -> Sunflower | None:
     masks all its rows.  A link keeps its host's labels, so the inner
     sunflower's core and petals are already in the caller's labels.
     """
-    if a < 1:
-        raise ValueError(f"petal count must be >= 1, got {a}")
+    _check_petals(a)
     if hg.m < a:
         return None
 
@@ -217,8 +223,7 @@ def decompose(hg: Hypergraph, a: int) -> SunflowerDecomposition:
     found through a row -> index map made once, dropped, and their
     vertices' live degrees lowered.
     """
-    if a < 1:
-        raise ValueError(f"petal count must be >= 1, got {a}")
+    _check_petals(a)
     alive = _AliveRows(hg)
     index_of = {row: i for i, row in enumerate(alive.rows)}
     flowers: list[Sunflower] = []

@@ -132,6 +132,13 @@ class TestExactOracle:
             exact_defective_chromatic(big, 0)
         assert exact_defective_chromatic(big, 0, force=True) == 1
 
+    def test_negative_defect_is_refused_after_the_guard(self):
+        # a cap of 0 tries no palette, so only the defect check stands between d = -1 and None
+        with pytest.raises(ValueError, match=r"^defect must be >= 0, got -1$"):
+            exact_defective_chromatic(complete(5, 3), -1, limit=0)
+        with pytest.raises(SizeGuardError):
+            exact_defective_chromatic(Hypergraph(17, 2, []), -1)
+
     @pytest.mark.parametrize("d", [0, 1])
     def test_agrees_with_independent_brute_force(self, d):
         for hg in tiny_instances(20, seed=d + 1):
@@ -168,8 +175,10 @@ class TestCompleteLowerbound:
     def test_validation(self):
         with pytest.raises(ValueError):
             complete_lowerbound(2, 3, 1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^palette must have >= 1 colours, got 0$"):
             complete_lowerbound(5, 3, 0, 0)
+        with pytest.raises(ValueError, match="^defect must be >= 0, got -1$"):
+            complete_lowerbound(5, 3, 1, -1)
 
     def test_never_contradicts_the_oracle(self):
         for n in range(4, 7):
@@ -305,6 +314,15 @@ class TestProbes:
         assert ceiling == pytest.approx(10 * 4.0**-2 / 2) == pytest.approx(0.3125)
         stats = probe_bad_vertex(hg, 4, 1, 0, 20_000, seed=2)
         assert stats.estimate <= ceiling + 4 * stats.se
+
+    @pytest.mark.parametrize("k, d, message", [
+        (0, 0, "palette must have >= 1 colours, got 0"),
+        (3, -1, "defect must be >= 0, got -1"),
+    ])
+    def test_ceiling_validation(self, k, d, message):
+        # both divided by zero before they were checked
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bad_vertex_ceiling(complete(4, 3), 0, k, d)
 
     def test_bad_vertex_validation(self):
         with pytest.raises(ValueError):

@@ -218,6 +218,14 @@ class TestExactAndProbe:
     def test_other_modes_still_take_a_negative_seed(self, mode, c5):
         assert main(["color", c5, "--mode", mode, "--defect", "0", "--seed", "-3"]) == 0
 
+    def test_exact_negative_defect_is_a_usage_error(self, tmp_path, capsys):
+        k6 = tmp_path / "k6.txt"
+        k6.write_text(format_instance(defcol.complete(6, 3)))
+        rec = tmp_path / "r.json"
+        assert main(["exact", str(k6), "--defect", "-1", "--limit", "0", "--json", str(rec)]) == 2
+        assert capsys.readouterr() == ("", "error: defect must be >= 0, got -1\n")
+        assert not rec.exists()
+
     def test_size_guard_maps_to_usage_error(self, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text(format_instance(Hypergraph(17, 2, [(0, 1)])))

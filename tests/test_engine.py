@@ -129,6 +129,12 @@ class TestClassify:
         with pytest.raises(ValueError, match=f"colouring covers {length} vertices, hypergraph has 3"):
             classify(TRIANGLE, Colouring((0,) * length, 1), 0)
 
+    def test_negative_defect_is_refused(self):
+        # as in verify: at d = -1 every vertex would read as bad
+        hg = random_bounded_degree(40, 3, 18, 228, seed=1)
+        with pytest.raises(ValueError, match=r"^defect must be >= 0, got -1$"):
+            classify(hg, uniform_colouring(hg, 3, seed=1), -1)
+
     def test_rainbow_is_calm(self):
         bad, terrible = classify(TRIANGLE, Colouring((0, 1, 2), 3), 0)
         assert bad == set() and terrible == set()

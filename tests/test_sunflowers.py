@@ -96,6 +96,12 @@ def test_leftover_bound_values():
     assert leftover_bound(2, 5) == 32
 
 
+def test_leftover_bound_refuses_no_petals():
+    # (a-1)^u would read -1 as a ceiling of -6 edges
+    with pytest.raises(ValueError, match="petal count must be >= 1, got 0"):
+        leftover_bound(3, 0)
+
+
 class TestFindSunflower:
     def test_fewer_edges_than_petals(self):
         assert find_sunflower(Hypergraph(3, 3, [(0, 1, 2)]), 2) is None
