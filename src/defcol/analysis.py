@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Colouring, _check_defect, _check_palette, _check_seed, _labels, _total_labels, mono_counts
+from .engine import mono_counts
 from .generators import coords_to_index, grid
-from .hypergraph import Hypergraph, _runs
+from .hypergraph import Colouring, Hypergraph, _check_defect, _check_palette, _check_seed, _runs, _total_labels
 
 __all__ = [
     "DefectReport",
@@ -65,7 +65,7 @@ def verify(hg: Hypergraph, colouring: Colouring, d: int) -> DefectReport:
         ValueError: if any vertex is uncoloured or d < 0.
     """
     _check_defect(d)
-    mono = mono_counts(hg, _total_labels(hg, colouring))
+    mono = mono_counts(hg, _total_labels(hg.n, colouring))
     return DefectReport(
         defect=d,
         mono_degrees=tuple(mono.tolist()),
@@ -211,13 +211,11 @@ def grid_defect_witness(
     mono degree, or None when the class erodes away.
 
     The guarantee needs few enough colours (roughly (Δ/(d+1))^(1/r)/r);
-    with many colours the procedure simply returns None.  A given ``hg``
-    must have the grid's n, u and m; it is checked before any grid is built.
+    with many colours the procedure simply returns None.  The colouring
+    passes the total-colouring gate on n^r vertices, and a given ``hg`` must
+    have the grid's n, u and m; both are checked before any grid is built.
     """
-    if len(colouring.colours) != n**r:
-        raise ValueError(f"colouring covers {len(colouring.colours)} vertices, grid has {n ** r}")
-    if not colouring.is_total:
-        raise ValueError("grid witness needs a total colouring")
+    colours = _total_labels(n**r, colouring)
     _check_defect(d)
     shape = (n**r, r + 1, (n * (n - 1) // 2) ** r)
     if hg is None:
@@ -225,7 +223,6 @@ def grid_defect_witness(
     elif (hg.n, hg.u, hg.m) != shape:
         raise ValueError(f"hg has (n, u, m) = {(hg.n, hg.u, hg.m)}, grid({n}, {r}) has {shape}")
 
-    colours = _labels(colouring)
     labels, sizes = np.unique(colours, return_counts=True)
     best = np.argmax(sizes)  # the first largest class: ties go to the smallest colour
     alive = (colours == labels[best]).reshape((n,) * r)
@@ -294,8 +291,10 @@ def probe_bad_vertex(
     :func:`bad_vertex_ceiling`, the Markov bound deg(v) * k^(-r) / (d+1).
     """
     hg._check_vertex(v)
-    if not 1 <= k <= 2**31 or trials < 1 or d < 0:  # the colours are drawn as int32
-        raise ValueError(f"need 1 <= k <= 2**31, trials >= 1, d >= 0; got k={k}, trials={trials}, d={d}")
+    _check_palette(k, np.int32)
+    _check_defect(d)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     _check_seed(seed)
     edges = hg.edge_array()
     through = edges[(edges == v).any(axis=1)]

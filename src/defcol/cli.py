@@ -43,7 +43,6 @@ from .analysis import (
 from .engine import (
     MODES,
     BudgetExhaustedError,
-    Colouring,
     EngineConfig,
     run_engine,
 )
@@ -53,7 +52,7 @@ from .generators import (
     random_bounded_degree,
     random_linear,
 )
-from .hypergraph import Hypergraph, InstanceFormatError, format_instance, parse_instance
+from .hypergraph import Colouring, Hypergraph, InstanceFormatError, format_instance, parse_instance
 from .partition import (
     max_cut_search,
     within_part_incident_counts,

@@ -63,11 +63,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from . import partition
+from .hypergraph import Colouring, Hypergraph, _check_defect, _check_palette, _check_seed, _total_labels
 
 __all__ = [
     "MODES",
-    "Colouring",
     "RoundTrace",
     "EngineConfig",
     "EngineResult",
@@ -109,32 +109,6 @@ def default_budget(n: int) -> int:
     as it does on adaptive's failing probes.
     """
     return max(1, 64 * n)
-
-
-@dataclass(frozen=True)
-class Colouring:
-    """A (possibly partial) assignment of colours out of a declared palette."""
-
-    colours: tuple[int | None, ...]
-    num_colours: int
-
-    def __post_init__(self) -> None:
-        labels = set(self.colours)  # the distinct labels, usually far fewer than the vertices
-        labels.discard(None)
-        if labels and not (0 <= min(labels) and max(labels) < self.num_colours):
-            for v, c in enumerate(self.colours):  # only to name the first vertex outside the palette
-                if c is not None and not 0 <= c < self.num_colours:
-                    raise ValueError(f"vertex {v} has colour {c}, outside palette 0..{self.num_colours - 1}")
-
-    @property
-    def is_total(self) -> bool:
-        return None not in self.colours
-
-    def distinct_used(self) -> int:
-        return len(set(self.colours) - {None})
-
-    def uncoloured(self) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.colours) if c is None)
 
 
 @dataclass(frozen=True)
@@ -181,52 +155,15 @@ _Probe = tuple[Colouring, tuple[int, ...] | None, RoundTrace]
 # -- elementary operations ----------------------------------------------------
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a negative seed, which numpy's generators reject with a message that does not name it."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def _check_budget(budget: int | None) -> None:
     """Refuse a resample budget below 1; None stands for :func:`default_budget`."""
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
 
-def _check_defect(d: int) -> None:
-    """Refuse a negative defect bound."""
-    if d < 0:
-        raise ValueError(f"defect must be >= 0, got {d}")
-
-
-def _check_palette(k: int) -> None:
-    """Refuse a palette of fewer than one colour."""
-    if k < 1:
-        raise ValueError(f"palette must have >= 1 colours, got {k}")
-
-
-def _total_labels(hg: Hypergraph, colouring: Colouring) -> np.ndarray:
-    """The :func:`_labels` of a colouring; refuses one of another length than ``hg`` or with an uncoloured vertex."""
-    if len(colouring.colours) != hg.n:
-        raise ValueError(f"colouring covers {len(colouring.colours)} vertices, hypergraph has {hg.n}")
-    if not colouring.is_total:
-        missing = colouring.uncoloured()
-        raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")
-    return _labels(colouring)
-
-
-def _labels(colouring: Colouring) -> np.ndarray:
-    """A total colouring's labels as one exact array: int64 while the palette fits it, Python ints past 2**63.
-
-    ``np.asarray`` would make float64 of labels on both sides of 2**63, where
-    nearby labels compare equal.
-    """
-    return np.array(colouring.colours, dtype=np.int64 if colouring.num_colours <= 2**63 else object)
-
-
 def uniform_colouring(hg: Hypergraph, k: int, seed: int = 0) -> Colouring:
     """Independent uniform colour draws for every vertex."""
-    _check_palette(k)
+    _check_palette(k, np.int64)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, k, size=hg.n)
@@ -420,9 +357,9 @@ def _classifier(hg: Hypergraph, d: int, threshold: float | None = None) -> Calla
 def classify(hg: Hypergraph, colouring: Colouring, d: int) -> tuple[set[int], set[int]]:
     """Split vertices into bad and terrible under a total colouring.
 
-    The defect and the colouring must pass the checks that
-    ``analysis.verify`` also runs (:func:`_check_defect`,
-    :func:`_total_labels`).  A vertex is bad when its monochromatic degree
+    The defect and the colouring must pass the checks ``analysis.verify``
+    also runs: ``hypergraph._check_defect`` and the total-colouring gate
+    ``hypergraph._total_labels``.  A vertex is bad when its monochromatic degree
     is at least d+1.  An edge is bad when every one of its vertices is bad
     (it need not be monochromatic itself).  A vertex is terrible when it
     lies in strictly more bad edges than the fixed threshold 2^(-r) * max
@@ -432,7 +369,7 @@ def classify(hg: Hypergraph, colouring: Colouring, d: int) -> tuple[set[int], se
         (bad vertices, terrible vertices)
     """
     _check_defect(d)
-    colours = _total_labels(hg, colouring)
+    colours = _total_labels(hg.n, colouring)
     bad = _classifier(hg, d)(colours)
     terrible = _classifier(hg, d, hg.max_degree * 2.0 ** -(hg.u - 1))(colours)
     return set(np.flatnonzero(bad).tolist()), set(np.flatnonzero(terrible).tolist())
@@ -602,7 +539,7 @@ def nibble_round(
         exhaustion the trace carries succeeded=False, the colouring is
         the last total draw, and the residual is None.
     """
-    _check_palette(k)
+    _check_palette(k, np.int64)
     _check_defect(d)
     _check_seed(seed)
     _check_budget(budget)
@@ -818,9 +755,6 @@ def graph_maxcut_colouring(hg: Hypergraph, d: int, seed: int = 0) -> Colouring:
     Raises:
         ValueError: if the hypergraph is not 2-uniform.
     """
-    # imported here: partition imports Colouring from this module
-    from . import partition
-
     if hg.u != 2:
         raise ValueError(f"needs a 2-uniform hypergraph, got uniformity {hg.u}")
     _check_defect(d)

@@ -7,11 +7,14 @@ and every query is answered from it; only the two indices, vertex ->
 neighbours and vertex -> edges, are built from it, on first use, and cached.
 The plain-text instance format lives here too; :func:`parse_instance` reads
 exactly the bytes :func:`format_instance` writes in one numpy pass, and any
-other text line by line.
+other text line by line.  So does the colouring vocabulary every algorithm
+shares: :class:`Colouring`, its gate :func:`_total_labels`, and one helper
+each for the palette, defect and seed rules.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -20,6 +23,7 @@ import numpy as np
 __all__ = [
     "VertexSet",
     "Hypergraph",
+    "Colouring",
     "InstanceFormatError",
     "as_vertex_set",
     "parse_instance",
@@ -309,6 +313,71 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, u={self.u}, m={self.m})"
+
+
+# -- colourings and the argument rules --------------------------------------
+
+
+@dataclass(frozen=True)
+class Colouring:
+    """A (possibly partial) assignment of colours out of a declared palette."""
+
+    colours: tuple[int | None, ...]
+    num_colours: int
+
+    def __post_init__(self) -> None:
+        labels = set(self.colours)  # the distinct labels, usually far fewer than the vertices
+        labels.discard(None)
+        if labels and not (0 <= min(labels) and max(labels) < self.num_colours):
+            for v, c in enumerate(self.colours):  # only to name the first vertex outside the palette
+                if c is not None and not 0 <= c < self.num_colours:
+                    raise ValueError(f"vertex {v} has colour {c}, outside palette 0..{self.num_colours - 1}")
+
+    @property
+    def is_total(self) -> bool:
+        return None not in self.colours
+
+    def distinct_used(self) -> int:
+        return len(set(self.colours) - {None})
+
+    def uncoloured(self) -> tuple[int, ...]:
+        return tuple(v for v, c in enumerate(self.colours) if c is None)
+
+
+def _total_labels(n: int, colouring: Colouring) -> np.ndarray:
+    """A total colouring of ``n`` vertices as one exact array: int64 while the palette fits it, Python ints past 2**63.
+
+    Refuses a colouring of another length or with an uncoloured vertex.
+    ``np.asarray`` would make float64 of labels on both sides of 2**63, where
+    nearby labels compare equal.
+    """
+    if len(colouring.colours) != n:
+        raise ValueError(f"colouring covers {len(colouring.colours)} vertices, hypergraph has {n}")
+    if not colouring.is_total:
+        missing = colouring.uncoloured()
+        raise ValueError(f"colouring leaves {len(missing)} vertices uncoloured (first: {missing[:5]})")
+    return np.array(colouring.colours, dtype=np.int64 if colouring.num_colours <= 2**63 else object)
+
+
+def _check_defect(d: int) -> None:
+    """Refuse a negative defect bound."""
+    if d < 0:
+        raise ValueError(f"defect must be >= 0, got {d}")
+
+
+def _check_palette(k: int, drawn: type[np.signedinteger] | None = None) -> None:
+    """Refuse a palette of no colours, or, by name, one numpy cannot draw as the integer type ``drawn``."""
+    if k < 1:
+        raise ValueError(f"palette must have >= 1 colours, got {k}")
+    if drawn is not None and k > np.iinfo(drawn).max + 1:
+        bits = np.iinfo(drawn).bits
+        raise ValueError(f"need 1 <= k <= 2**{bits - 1}: colours are drawn as int{bits}, got k={k}")
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed, which numpy's generators reject with a message that does not name it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 # -- plain-text instance format -------------------------------------------

@@ -1,9 +1,9 @@
 """Local-search partition of a hypergraph's vertices into ell parts.
 
-A partition is a :class:`~defcol.engine.Colouring` with one colour per
+A partition is a :class:`~defcol.hypergraph.Colouring` with one colour per
 part: the search returns one, and the objectives read its labels through
 the total-colouring gate ``verify`` uses (one length check, no uncoloured
-vertex, an exact array past 2**63).
+vertex, an exact array past 2**63); both come from :mod:`defcol.hypergraph`.
 
 The search minimises the sum, over unordered same-part vertex pairs, of
 their codegree.  A locally optimal partition puts every vertex where its
@@ -25,8 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import Colouring, _total_labels
-from .hypergraph import Hypergraph, _runs
+from .hypergraph import Colouring, Hypergraph, _runs, _total_labels
 
 __all__ = [
     "MaxCutRun",
@@ -52,7 +51,7 @@ def pair_objective(hg: Hypergraph, partition: Colouring) -> int:
     that landed in the same part, which adds up to exactly the same-part
     codegree sum; the pairs are counted one column pair at a time.
     """
-    edge_parts = _total_labels(hg, partition)[hg.edge_array()]
+    edge_parts = _total_labels(hg.n, partition)[hg.edge_array()]
     return sum(
         int((edge_parts[:, i] == edge_parts[:, j]).sum()) for i, j in combinations(range(hg.u), 2)
     )
@@ -143,7 +142,7 @@ def within_part_incident_counts(hg: Hypergraph, partition: Colouring) -> np.ndar
     holds a vertex of the same part.
     """
     edges = hg.edge_array()
-    edge_parts = _total_labels(hg, partition)[edges]
+    edge_parts = _total_labels(hg.n, partition)[edges]
     shared = np.zeros(edges.shape, dtype=bool)
     for i, j in combinations(range(hg.u), 2):
         same = edge_parts[:, i] == edge_parts[:, j]

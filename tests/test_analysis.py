@@ -248,9 +248,9 @@ class TestGridWitness:
             raise AssertionError(f"grid({n}, {r}) built before the checks")
 
         monkeypatch.setattr(analysis, "grid", no_grid)
-        with pytest.raises(ValueError, match="covers 9 vertices, grid has 1600"):
+        with pytest.raises(ValueError, match="covers 9 vertices, hypergraph has 1600"):
             grid_defect_witness(40, 2, Colouring((0,) * 9, 1), 0)
-        with pytest.raises(ValueError, match="total colouring"):
+        with pytest.raises(ValueError, match="leaves 1600 vertices uncoloured"):
             grid_defect_witness(40, 2, Colouring((None,) * 1600, 1), 0)
         with pytest.raises(ValueError, match="defect"):
             grid_defect_witness(40, 2, Colouring((0,) * 1600, 1), -1)

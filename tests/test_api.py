@@ -1,4 +1,8 @@
-"""The public surface: the names ``defcol`` exports, and a Hypergraph that is its edge array."""
+"""The public surface: the names ``defcol`` exports, a Hypergraph that is its edge array, and the import layers."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
 
 import defcol
 from defcol import Hypergraph
@@ -33,3 +37,28 @@ def test_hypergraph_keeps_no_tuple_views():
     hg.is_linear(), hg.neighbour_sets(), hg.incidence()
     # the array, its degrees, the neighbour index the resample supports read and the incidence the counts read
     assert sorted(vars(hg)) == ["_degrees", "_edges", "_incidence", "_max_degree", "_neighbour_sets", "n", "u"]
+
+
+def _package_imports() -> dict[str, list[tuple[str, bool]]]:
+    """Per module, the package modules it imports (all relatively), each flagged when a function body holds the import."""
+    found = {}
+    for path in Path(defcol.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        inner = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found[path.stem] = [
+            (node.module or alias.name, id(node) in inner)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        ]
+    return found
+
+
+def test_imports_form_layers():
+    """The colouring vocabulary sits in ``hypergraph``, below every algorithm, so the imports have no cycle."""
+    found = _package_imports()
+    assert not [(module, target) for module, imports in found.items() for target, inner in imports if inner]
+    graph = {module: {target for target, _ in imports} for module, imports in found.items()}
+    assert graph["hypergraph"] == set()
+    assert graph["partition"] == {"hypergraph"}
+    TopologicalSorter(graph).prepare()  # raises CycleError on an import cycle
+    assert defcol.engine.Colouring is defcol.Colouring

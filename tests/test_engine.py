@@ -89,6 +89,16 @@ def test_uniform_colouring_deterministic_and_in_range():
         uniform_colouring(hg, 0)
 
 
+def test_palette_past_int64_is_refused_by_name():
+    """Both entries draw int64 colours; past 2**63 numpy refuses with a message naming neither k nor the rule."""
+    hg = random_bounded_degree(35, 3, 18, 199, seed=7000)
+    for draw in (partial(uniform_colouring, hg), partial(nibble_round, hg, 1)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= 2\*\*63: colours are drawn as int64, got k={2**70}$"):
+            draw(2**70)
+    assert uniform_colouring(hg, 2**63).num_colours == 2**63
+    assert nibble_round(hg, 1, 2**63)[2].succeeded
+
+
 class TestMonoDegree:
     def test_triangle(self):
         c = Colouring((0, 0, 1), 2)
